@@ -170,6 +170,11 @@ class SedovSweepResult:
     def scales(self) -> List[int]:
         return sorted({o.scale for o in self.outcomes})
 
+    def end_scales(self) -> List[int]:
+        """Smallest and largest scale, each once (the Fig. 6b/6c default)."""
+        all_scales = self.scales()
+        return sorted({all_scales[0], all_scales[-1]})
+
     def labels(self) -> List[str]:
         seen: List[str] = []
         for o in self.outcomes:
@@ -222,7 +227,7 @@ class SedovSweepResult:
 
     def fig6b_table(self, scales: Sequence[int] | None = None) -> str:
         """Comm & sync normalized to baseline (paper shows 512 & 4096)."""
-        scales = list(scales or [self.scales()[0], self.scales()[-1]])
+        scales = list(scales or self.end_scales())
         rows = []
         for scale in scales:
             if not self.has(scale, "baseline"):
@@ -248,7 +253,7 @@ class SedovSweepResult:
 
     def fig6c_table(self, scales: Sequence[int] | None = None) -> str:
         """Local/remote message split normalized to baseline total."""
-        scales = list(scales or [self.scales()[0], self.scales()[-1]])
+        scales = list(scales or self.end_scales())
         rows = []
         for scale in scales:
             if not self.has(scale, "baseline"):

@@ -19,6 +19,7 @@ from .cdp import (
     cdp_full,
     cdp_optimal_makespan,
     cdp_restricted,
+    cdp_restricted_many,
     counts_makespan,
 )
 from .chunked import ChunkedCDPPolicy, chunked_cdp_counts, split_chunks
@@ -94,6 +95,7 @@ __all__ = [
     "cdp_full",
     "cdp_optimal_makespan",
     "cdp_restricted",
+    "cdp_restricted_many",
     "chunked_cdp_counts",
     "contiguity_fraction",
     "contiguous_counts",

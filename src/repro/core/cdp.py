@@ -10,7 +10,11 @@ Three solvers are provided:
 * :func:`cdp_restricted` — the paper's production variant: only chunk
   sizes ``ceil(n/r)`` and ``floor(n/r)`` are considered, giving an
   ``O(n·r)``-bounded DP (actually ``O(r · (n mod r))``) that is optimal
-  *within the explored chunk sizes*.
+  *within the explored chunk sizes*.  It is the one-chunk call of
+  :func:`cdp_restricted_many`, which solves many independent chunks (the
+  chunked CDP inside CPLX) in one batched pass: each rank step is four
+  whole-batch numpy ufuncs, so the per-step interpreter cost is paid
+  once for all chunks.
 * :func:`cdp_full` — the unrestricted ``O(n^2 r)`` DP; exact but too slow
   for large meshes.  Kept for the ablation of the restriction.
 * :func:`cdp_optimal_makespan` — exact optimal contiguous makespan via
@@ -20,9 +24,10 @@ Three solvers are provided:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .baseline import assignment_from_counts
 from .context import PlacementContext
@@ -32,6 +37,7 @@ __all__ = [
     "CDPPolicy",
     "CDPFullPolicy",
     "cdp_restricted",
+    "cdp_restricted_many",
     "cdp_full",
     "cdp_optimal_makespan",
     "counts_makespan",
@@ -56,56 +62,107 @@ def cdp_restricted(costs: np.ndarray, n_ranks: int) -> np.ndarray:
     state is (ranks placed, ceil-sized segments used); since the start
     offset of rank ``k`` with ``j`` ceil segments used is ``k*f + j``,
     the table is ``(r+1) x (e+1)`` where ``e = n mod r`` — hence the
-    ``O(nr)`` bound quoted in the paper.
+    ``O(nr)`` bound quoted in the paper.  This is the one-chunk call of
+    :func:`cdp_restricted_many`.
     """
-    n = int(costs.shape[0])
-    if n_ranks < 1:
+    return cdp_restricted_many(costs, [(0, int(costs.shape[0]))], [n_ranks])
+
+
+#: rank steps whose segment-cost rows are gathered in one copy; bounds the
+#: per-side slab at ``_SLAB_STEPS x chunks x (e+1)`` floats
+_SLAB_STEPS = 32
+
+
+def cdp_restricted_many(
+    costs: np.ndarray,
+    ranges: Sequence[Tuple[int, int]],
+    shares: Sequence[int],
+) -> np.ndarray:
+    """Restricted CDP of every chunk ``costs[a:b]`` on its ``shares[i]`` ranks.
+
+    All chunks advance through the rank steps together on one
+    ``(chunks, max_e + 1)`` state array, so a step is four whole-batch
+    ufuncs instead of one small loop per chunk.  Each chunk's counts are
+    exactly what it would get alone: segment sums come from the chunk's
+    own prefix sum, ties prefer the floor segment, and the backtrack
+    starts from the chunk's own ``(r_i, e_i)``.  States outside a
+    chunk's feasibility window are left unmasked; they never feed a
+    state on the backtrack path.  Returns the chunks' per-rank counts,
+    concatenated in chunk order.
+    """
+    costs = np.asarray(costs)
+    shares = np.asarray(shares, dtype=np.int64)
+    if shares.shape[0] != len(ranges):
+        raise ValueError("need one rank share per chunk")
+    if (shares < 1).any():
         raise ValueError("n_ranks must be >= 1")
-    f, e = divmod(n, n_ranks)
-    prefix = np.concatenate([[0.0], np.cumsum(costs, dtype=np.float64)])
-    if e == 0:
-        # Single legal configuration: every rank takes exactly f blocks.
-        return np.full(n_ranks, f, dtype=np.int64)
+    sizes = np.asarray([b - a for a, b in ranges], dtype=np.int64)
+    floor, extra = np.divmod(sizes, shares)
+    counts = np.repeat(floor, shares)
+    width = int(extra.max()) + 1
+    if width == 1:
+        # Every chunk divides evenly: each rank takes exactly f blocks.
+        return counts
 
-    INF = np.inf
-    # dp[j] = best makespan after current k ranks with j ceil segments used
-    dp = np.full(e + 1, INF, dtype=np.float64)
-    dp[0] = 0.0
-    # choice[k, j] = 1 if rank k-1 took a ceil segment on the best path
-    choice = np.zeros((n_ranks + 1, e + 1), dtype=np.int8)
-    js = np.arange(e + 1)
-    for k in range(1, n_ranks + 1):
-        # Feasibility window for j after k ranks.
-        j_lo = max(0, e - (n_ranks - k))
-        j_hi = min(e, k)
-        # Option A: rank k-1 takes a floor-size segment; state j unchanged.
-        start_f = (k - 1) * f + js  # start index given j ceils used before
-        seg_f = prefix[start_f + f] - prefix[start_f] if f > 0 else np.zeros(e + 1)
-        cand_f = np.maximum(dp, seg_f)
-        # Option B: rank k-1 takes a ceil segment; state j-1 -> j.
-        cand_c = np.full(e + 1, INF)
-        if e >= 1:
-            start_c = (k - 1) * f + js[:-1]  # previous state had j-1 = js[:-1]
-            seg_c = prefix[start_c + f + 1] - prefix[start_c]
-            cand_c[1:] = np.maximum(dp[:-1], seg_c)
-        take_ceil = cand_c < cand_f
-        ndp = np.where(take_ceil, cand_c, cand_f)
-        # Mask states outside the feasibility window.
-        invalid = (js < j_lo) | (js > j_hi)
-        ndp[invalid] = INF
-        choice[k] = take_ceil & ~invalid
-        dp = ndp
+    # Per chunk, floor[t] = W[t+f] - W[t] and ceil[t] = W[t+f+1] - W[t]
+    # over its own prefix W, padded to (r-1)*f + width.  A strided view
+    # then gives one width-wide row per rank step, starting f apart.
+    floor_rows, ceil_rows = [], []
+    for (a, b), r, f in zip(ranges, shares.tolist(), floor.tolist()):
+        prefix = np.concatenate([[0.0], np.cumsum(costs[a:b], dtype=np.float64)])
+        m = prefix.shape[0]
+        run = np.full((2, (r - 1) * f + width), np.inf)
+        np.subtract(prefix[f:], prefix[: m - f], out=run[0, : m - f])
+        np.subtract(prefix[f + 1 :], prefix[: m - f - 1], out=run[1, : m - f - 1])
+        item = run.strides[1]
+        floor_rows.append(as_strided(run[0], (r, width), (f * item, item)))
+        ceil_rows.append(as_strided(run[1], (r, width - 1), (f * item, item)))
 
-    # Reconstruct counts from the choice table.
-    counts = np.empty(n_ranks, dtype=np.int64)
-    j = e
-    for k in range(n_ranks, 0, -1):
-        if choice[k, j]:
-            counts[k - 1] = f + 1
-            j -= 1
-        else:
-            counts[k - 1] = f
-    assert j == 0, "CDP reconstruction failed"
+    n_chunks = shares.shape[0]
+    n_steps = int(shares.max())
+    dp = np.full((n_chunks, width), np.inf)
+    dp[:, 0] = 0.0
+    cand_f = np.empty_like(dp)
+    cand_c = np.full_like(dp, np.inf)  # column 0: no ceil segment to undo
+    # Floor segment keeps j; ceil segment moves j-1 -> j.
+    dp_from, cand_c_into = dp[:, :-1], cand_c[:, 1:]
+    slab_f = np.full((_SLAB_STEPS, n_chunks, width), np.inf)
+    slab_c = np.full((_SLAB_STEPS, n_chunks, width - 1), np.inf)
+    choice = np.empty((_SLAB_STEPS, n_chunks, width), dtype=bool)
+    # packed[k-1, i] bit j: rank k-1 of chunk i took a ceil segment into state j
+    packed = np.empty((n_steps, n_chunks, -(-width // 8)), dtype=np.uint8)
+    for s0 in range(0, n_steps, _SLAB_STEPS):
+        # A chunk past its own rank count leaves stale rows; its states
+        # from then on are never read back.
+        for i in range(n_chunks):
+            rows = floor_rows[i][s0 : s0 + _SLAB_STEPS]
+            slab_f[: rows.shape[0], i] = rows
+            slab_c[: rows.shape[0], i] = ceil_rows[i][s0 : s0 + _SLAB_STEPS]
+        steps = min(_SLAB_STEPS, n_steps - s0)
+        for seg_f, seg_c, took_ceil in zip(slab_f[:steps], slab_c[:steps], choice):
+            np.maximum(dp, seg_f, out=cand_f)
+            np.maximum(dp_from, seg_c, out=cand_c_into)
+            np.less(cand_c, cand_f, out=took_ceil)
+            np.minimum(cand_c, cand_f, out=dp)
+        packed[s0 : s0 + steps] = np.packbits(choice[:steps], axis=-1)
+
+    # Backtrack each chunk from (r_i, e_i); rows past r_i are never read.
+    bits = memoryview(packed.reshape(-1))
+    row = packed.shape[2]
+    step = n_chunks * row
+    ceil_at = []
+    starts = np.concatenate([[0], np.cumsum(shares)[:-1]]).tolist()
+    for i, (r, j, start) in enumerate(zip(shares.tolist(), extra.tolist(), starts)):
+        at = (r - 1) * step + i * row  # chunk i's row for its last rank
+        for k in range(r - 1, -1, -1):
+            if j == 0:
+                break
+            if bits[at + (j >> 3)] >> (7 - (j & 7)) & 1:
+                ceil_at.append(start + k)
+                j -= 1
+            at -= step
+        assert j == 0, "CDP reconstruction failed"
+    counts[ceil_at] += 1
     return counts
 
 

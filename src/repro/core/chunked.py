@@ -3,21 +3,22 @@
 At large rank counts the CDP table itself becomes the placement
 bottleneck.  The paper's fix: split the SFC-ordered blocks into ``c``
 contiguous chunks of approximately equal *cost*, hand each chunk a
-contiguous subset of ranks, and solve CDP independently per chunk
-(parallel-processable; at 4096 ranks with 512 ranks per chunk there are
-8 chunks).  The result is not globally optimal but serves as CPLX's
-intermediate stage, where the loss is immaterial.
+contiguous subset of ranks, and solve CDP independently per chunk (at
+4096 ranks with 512 ranks per chunk there are 8 chunks).  The paper
+solves the chunks in parallel threads; here all of them advance together
+through one batched DP pass (:func:`~repro.core.cdp.cdp_restricted_many`).
+The result is not globally optimal but serves as CPLX's intermediate
+stage, where the loss is immaterial.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .baseline import assignment_from_counts
-from .cdp import cdp_restricted
+from .cdp import cdp_restricted_many
 from .context import PlacementContext
 from .policy import PlacementPolicy, register_policy
 
@@ -79,19 +80,14 @@ def chunked_cdp_counts(
     costs: np.ndarray,
     n_ranks: int,
     ranks_per_chunk: int = 512,
-    parallel: bool = False,
 ) -> np.ndarray:
-    """Per-rank contiguous counts from chunk-parallel restricted CDP.
+    """Per-rank contiguous counts from chunked restricted CDP.
 
     Parameters
     ----------
     ranks_per_chunk:
         Target chunk granularity in ranks (the paper uses 512).  The
         number of chunks is ``ceil(n_ranks / ranks_per_chunk)``.
-    parallel:
-        Solve chunks in a thread pool.  The DP is pure Python, so this
-        mainly documents the parallel decomposition the paper exploits in
-        C++; it is correct either way and defaults to serial.
     """
     n = int(costs.shape[0])
     if ranks_per_chunk < 1:
@@ -99,33 +95,21 @@ def chunked_cdp_counts(
     n_chunks = max(1, -(-n_ranks // ranks_per_chunk))
     n_chunks = min(n_chunks, n_ranks, max(n, 1))
     if n_chunks == 1:
-        return cdp_restricted(costs, n_ranks)
+        return cdp_restricted_many(costs, [(0, n)], [n_ranks])
 
     ranges = split_chunks(costs, n_chunks)
     chunk_costs = np.asarray(
         [float(costs[a:b].sum()) for a, b in ranges], dtype=np.float64
     )
-    shares = _rank_shares(chunk_costs, n_ranks)
-
-    def solve(i: int) -> np.ndarray:
-        a, b = ranges[i]
-        return cdp_restricted(costs[a:b], int(shares[i]))
-
-    if parallel:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            parts = list(pool.map(solve, range(n_chunks)))
-    else:
-        parts = [solve(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
+    return cdp_restricted_many(costs, ranges, _rank_shares(chunk_costs, n_ranks))
 
 
 @register_policy("cdp-chunked")
 class ChunkedCDPPolicy(PlacementPolicy):
-    """Chunk-parallel restricted CDP (the scalable CDP used inside CPLX)."""
+    """Chunked restricted CDP (the scalable CDP used inside CPLX)."""
 
-    def __init__(self, ranks_per_chunk: int = 512, parallel: bool = False) -> None:
+    def __init__(self, ranks_per_chunk: int = 512) -> None:
         self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     def compute(
         self,
@@ -133,7 +117,5 @@ class ChunkedCDPPolicy(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
-        counts = chunked_cdp_counts(
-            costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk, parallel=self.parallel
-        )
+        counts = chunked_cdp_counts(costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk)
         return assignment_from_counts(counts)

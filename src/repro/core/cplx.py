@@ -73,21 +73,13 @@ class CPLX(PlacementPolicy):
         paper's notation, e.g. ``CPLX(x_percent=50)`` == CPL50).
     ranks_per_chunk:
         Chunk granularity forwarded to the CDP stage.
-    parallel:
-        Solve CDP chunks in a thread pool.
     """
 
-    def __init__(
-        self,
-        x_percent: float = 50.0,
-        ranks_per_chunk: int = 512,
-        parallel: bool = False,
-    ) -> None:
+    def __init__(self, x_percent: float = 50.0, ranks_per_chunk: int = 512) -> None:
         if not 0.0 <= x_percent <= 100.0:
             raise ValueError(f"X must be in [0, 100], got {x_percent}")
         self.x_percent = float(x_percent)
         self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     @property
     def label(self) -> str:
@@ -101,9 +93,7 @@ class CPLX(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
-        counts = chunked_cdp_counts(
-            costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk, parallel=self.parallel
-        )
+        counts = chunked_cdp_counts(costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk)
         assignment = assignment_from_counts(counts)
         if self.x_percent == 0.0 or costs.shape[0] == 0 or n_ranks < 2:
             return assignment

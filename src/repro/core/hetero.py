@@ -153,18 +153,10 @@ class HeteroCPLX(PlacementPolicy):
     homogeneous assignments are bit-identical to ``cplx:<X>``).
     """
 
-    def __init__(
-        self,
-        x_percent: float = 50.0,
-        ranks_per_chunk: int = 512,
-        parallel: bool = False,
-    ) -> None:
-        self._inner = CPLX(
-            x_percent=x_percent, ranks_per_chunk=ranks_per_chunk, parallel=parallel
-        )
+    def __init__(self, x_percent: float = 50.0, ranks_per_chunk: int = 512) -> None:
+        self._inner = CPLX(x_percent=x_percent, ranks_per_chunk=ranks_per_chunk)
         self.x_percent = self._inner.x_percent
         self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     @property
     def label(self) -> str:

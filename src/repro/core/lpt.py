@@ -42,23 +42,35 @@ def lpt_assign(
     Ties (equal loads) break toward the lowest rank ID, making the result
     deterministic.  Uses a binary heap of ``(load, rank)`` pairs —
     O(n log n + n log r) total, comfortably inside the 50 ms budget for
-    AMR-scale inputs (~2 blocks per rank).
+    AMR-scale inputs (~2 blocks per rank).  Starting from empty ranks,
+    the first round (one block per rank) needs no heap operations.
     """
     n = int(costs.shape[0])
+    order = np.argsort(-costs, kind="stable")
+    sorted_costs = np.asarray(costs[order], dtype=np.float64).tolist()
+    first = 0
     if initial_loads is None:
-        heap = [(0.0, r) for r in range(n_ranks)]
+        # From all-zero loads, while the costs are positive the first
+        # round hands the i-th largest block to rank i.
+        first = min(n, n_ranks)
+        if first and not sorted_costs[first - 1] > 0.0:
+            first = 0
+        heap = [(sorted_costs[r] if r < first else 0.0, r) for r in range(n_ranks)]
     else:
         loads = np.asarray(initial_loads, dtype=np.float64)
         if loads.shape != (n_ranks,):
             raise ValueError(f"initial_loads shape {loads.shape} != ({n_ranks},)")
         heap = [(float(loads[r]), r) for r in range(n_ranks)]
     heapq.heapify(heap)
-    order = np.argsort(-costs, kind="stable")
+    ranks = list(range(first))
+    # (load, rank) keys are distinct, so replacing the root pops the
+    # same sequence as pop-then-push.
+    for cost in sorted_costs[first:]:
+        load, rank = heap[0]
+        heapq.heapreplace(heap, (load + cost, rank))
+        ranks.append(rank)
     assignment = np.empty(n, dtype=np.int64)
-    for bid in order:
-        load, rank = heapq.heappop(heap)
-        assignment[bid] = rank
-        heapq.heappush(heap, (load + float(costs[bid]), rank))
+    assignment[order] = ranks
     return assignment
 
 

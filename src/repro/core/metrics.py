@@ -11,7 +11,7 @@ rank→node topology, entirely vectorized.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,24 @@ class LoadStats:
     loads: np.ndarray        #: per-rank loads
 
 
+#: load magnitudes outside ``[2**-400, 2**400]`` are rescaled before the
+#: statistics: their sums and squares leave the normal float range
+_SAFE_LO, _SAFE_HI = 2.0**-400, 2.0**400
+
+
+def _rescaled(costs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(costs * 2**-k, k)`` with the largest |cost| brought into [0.5, 1).
+
+    Scaling by a power of two is exact, and every metric here is a ratio
+    or scales back, so only the over- and underflow change.
+    """
+    peak = float(np.abs(costs).max()) if costs.size else 0.0
+    if peak == 0.0 or not np.isfinite(peak):
+        return costs, 0
+    k = int(np.frexp(peak)[1])
+    return np.ldexp(costs, -k), k
+
+
 def load_stats(
     costs: np.ndarray,
     assignment: np.ndarray,
@@ -67,24 +85,45 @@ def load_stats(
 
     ``ctx`` enables capacity weighting: per-rank loads become
     ``load / rank_speed`` (completion times), so the makespan is the
-    time the slowest rank actually finishes.
+    time the slowest rank actually finishes.  Subnormal and huge loads
+    are computed from rescaled costs, so ``imbalance`` and ``cv`` stay
+    finite; loads that truly exceed the float range report ``inf``.
     """
-    loads = np.bincount(assignment, weights=costs, minlength=n_ranks).astype(np.float64)
-    if ctx is not None:
-        if ctx.n_ranks != n_ranks:
-            raise ValueError(
-                f"context describes {ctx.n_ranks} ranks, stats asked for {n_ranks}"
-            )
-        loads = loads / ctx.rank_speed
-    mean = float(loads.mean()) if n_ranks else 0.0
+    if ctx is not None and ctx.n_ranks != n_ranks:
+        raise ValueError(
+            f"context describes {ctx.n_ranks} ranks, stats asked for {n_ranks}"
+        )
+
+    def rank_loads(weights: np.ndarray) -> np.ndarray:
+        loads = np.bincount(assignment, weights=weights, minlength=n_ranks)
+        loads = loads.astype(np.float64)
+        if ctx is None:
+            return loads
+        with np.errstate(over="ignore"):  # caught by the range check below
+            return loads / ctx.rank_speed
+
+    loads = rank_loads(costs)
     mk = float(loads.max()) if n_ranks else 0.0
+    min_load = float(loads.min()) if n_ranks else 0.0
+    k = 0
+    if not all(v == 0.0 or _SAFE_LO <= abs(v) <= _SAFE_HI for v in (mk, min_load)):
+        scaled, k = _rescaled(np.asarray(costs))
+        if k:
+            loads = rank_loads(scaled)
+            mk, min_load = float(loads.max()), float(loads.min())
+    mean = float(loads.mean()) if n_ranks else 0.0
     cv = float(loads.std() / mean) if mean > 0 else 0.0
+    imbalance = mk / mean if mean > 0 else 1.0
+    if k:
+        with np.errstate(over="ignore"):
+            loads = np.ldexp(loads, k)
+            mean, mk, min_load = (float(np.ldexp(v, k)) for v in (mean, mk, min_load))
     return LoadStats(
         makespan=mk,
         mean=mean,
-        imbalance=mk / mean if mean > 0 else 1.0,
+        imbalance=imbalance,
         cv=cv,
-        min_load=float(loads.min()) if n_ranks else 0.0,
+        min_load=min_load,
         loads=loads,
     )
 
@@ -100,15 +139,21 @@ def normalized_makespan(
     Homogeneous: ``max load / (total / r)``.  With a context, both sides
     are capacity-weighted: completion-time makespan over
     ``total / sum(speeds)`` — the ``Q || C_max`` area bound, so 1.0 still
-    means "perfectly balanced for this hardware mix".
+    means "perfectly balanced for this hardware mix".  A bound that is
+    not positive (all-zero or negative costs) gives 1.0.
     """
-    total = float(np.asarray(costs).sum())
-    if total <= 0:
+    costs = np.asarray(costs)
+    capacity = n_ranks if ctx is None else ctx.total_capacity()
+    with np.errstate(over="ignore"):
+        bound = float(costs.sum()) / capacity
+    if not _SAFE_LO <= bound <= _SAFE_HI:
+        # Subnormal, zero or huge bound: the ratio is scale-free, so
+        # rescale the costs and compute it again.
+        costs, _ = _rescaled(costs)
+        bound = float(costs.sum()) / capacity
+    if bound <= 0:
         return 1.0
-    if ctx is None:
-        return load_stats(costs, assignment, n_ranks).makespan / (total / n_ranks)
-    mk = load_stats(costs, assignment, n_ranks, ctx=ctx).makespan
-    return mk / (total / ctx.total_capacity())
+    return load_stats(costs, assignment, n_ranks, ctx=ctx).makespan / bound
 
 
 @dataclasses.dataclass(frozen=True)

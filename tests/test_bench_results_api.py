@@ -38,6 +38,12 @@ class TestSweepResultApi:
                      tiny_sweep.fig6c_table(), tiny_sweep.table_i_text()):
             assert len(text.splitlines()) >= 3
 
+    def test_single_scale_rows_not_repeated(self, tiny_sweep):
+        assert tiny_sweep.end_scales() == [512]
+        for text in (tiny_sweep.fig6b_table(), tiny_sweep.fig6c_table()):
+            rows = [ln for ln in text.splitlines() if ln.split()[:1] == ["512"]]
+            assert len(rows) == len(tiny_sweep.labels())
+
     def test_outcome_properties(self, tiny_sweep):
         o = tiny_sweep.at(512, "CPL50")
         assert o.wall_s > 0

@@ -1,18 +1,23 @@
 """Tests for the CDP family: restricted DP, full DP, chunking."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import make_costs
 from repro.core import (
     cdp_full,
     cdp_optimal_makespan,
     cdp_restricted,
+    cdp_restricted_many,
     chunked_cdp_counts,
     counts_makespan,
+    get_policy,
     split_chunks,
 )
 from repro.core.chunked import _rank_shares
@@ -21,6 +26,56 @@ instances = st.tuples(
     st.lists(st.floats(0.05, 10.0), min_size=1, max_size=40),
     st.integers(1, 8),
 )
+
+
+def corpus_costs(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "exponential":
+        return rng.exponential(1.0, size=n)
+    if kind == "ties":
+        return rng.integers(0, 3, size=n).astype(np.float64)
+    if kind == "ones":
+        return np.ones(n)
+    if kind == "pareto":
+        return np.round(rng.pareto(1.5, size=n) + 1.0, 1)
+    return np.zeros(n)
+
+
+def loop_restricted(costs: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Reference: the original one-chunk, per-rank-step restricted CDP loop,
+    with explicit feasibility-window masking."""
+    n = int(costs.shape[0])
+    f, e = divmod(n, n_ranks)
+    prefix = np.concatenate([[0.0], np.cumsum(costs, dtype=np.float64)])
+    if e == 0:
+        return np.full(n_ranks, f, dtype=np.int64)
+    dp = np.full(e + 1, np.inf)
+    dp[0] = 0.0
+    choice = np.zeros((n_ranks + 1, e + 1), dtype=np.int8)
+    js = np.arange(e + 1)
+    for k in range(1, n_ranks + 1):
+        j_lo = max(0, e - (n_ranks - k))
+        j_hi = min(e, k)
+        start_f = (k - 1) * f + js
+        seg_f = prefix[start_f + f] - prefix[start_f] if f > 0 else np.zeros(e + 1)
+        cand_f = np.maximum(dp, seg_f)
+        cand_c = np.full(e + 1, np.inf)
+        start_c = (k - 1) * f + js[:-1]
+        cand_c[1:] = np.maximum(dp[:-1], prefix[start_c + f + 1] - prefix[start_c])
+        take_ceil = cand_c < cand_f
+        ndp = np.where(take_ceil, cand_c, cand_f)
+        invalid = (js < j_lo) | (js > j_hi)
+        ndp[invalid] = np.inf
+        choice[k] = take_ceil & ~invalid
+        dp = ndp
+    counts = np.empty(n_ranks, dtype=np.int64)
+    j = e
+    for k in range(n_ranks, 0, -1):
+        if choice[k, j]:
+            counts[k - 1] = f + 1
+            j -= 1
+        else:
+            counts[k - 1] = f
+    return counts
 
 
 def brute_restricted(costs: np.ndarray, r: int) -> float:
@@ -36,12 +91,24 @@ def brute_restricted(costs: np.ndarray, r: int) -> float:
 class TestRestricted:
     @given(instances)
     def test_optimal_within_restriction(self, inst):
+        # The DP and the brute force take segment sums from the same
+        # prefix, so the optimum must match exactly, not approximately.
         costs, r = np.asarray(inst[0]), inst[1]
-        if r > 1 and len(costs) % r != 0 and r <= 6 and len(costs) <= 24:
-            counts = cdp_restricted(costs, r)
-            assert counts_makespan(costs, counts) == pytest.approx(
-                brute_restricted(costs, r)
-            )
+        counts = cdp_restricted(costs, r)
+        assert counts_makespan(costs, counts) == brute_restricted(costs, r)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 10.0)),
+            min_size=0,
+            max_size=120,
+        ),
+        st.integers(1, 40),
+    )
+    def test_matches_loop_reference(self, costs, r):
+        """Batched DP without masking == the masked per-step loop, ties included."""
+        costs = np.asarray(costs, dtype=np.float64)
+        assert np.array_equal(cdp_restricted(costs, r), loop_restricted(costs, r))
 
     @given(instances)
     def test_counts_are_legal(self, inst):
@@ -145,12 +212,42 @@ class TestChunking:
         b = cdp_restricted(costs, 8)
         assert np.array_equal(a, b)
 
-    def test_parallel_matches_serial(self):
+    def test_batched_matches_per_chunk(self):
+        """One batched pass gives each chunk exactly its standalone counts."""
         rng = np.random.default_rng(1)
-        costs = rng.exponential(1.0, size=200)
-        a = chunked_cdp_counts(costs, 32, ranks_per_chunk=8, parallel=False)
-        b = chunked_cdp_counts(costs, 32, ranks_per_chunk=8, parallel=True)
-        assert np.array_equal(a, b)
+        shares = [3, 9, 1, 12, 7]
+        for kind in ("exponential", "ties", "zeros"):
+            costs = corpus_costs(kind, 200, rng)
+            ranges = split_chunks(costs, 5)
+            batched = cdp_restricted_many(costs, ranges, shares)
+            per_chunk = np.concatenate(
+                [loop_restricted(costs[a:b], s) for (a, b), s in zip(ranges, shares)]
+            )
+            assert np.array_equal(batched, per_chunk), kind
+
+    def test_segment_sums_use_per_chunk_prefix(self):
+        """Tenths round differently off a global prefix than off each
+        chunk's own; this case flips six counts if the chunks share one."""
+        costs = np.random.default_rng(1).integers(1, 4, size=80) * 0.1
+        counts = chunked_cdp_counts(costs, 48, ranks_per_chunk=8)
+        assert counts.tolist() == [
+            2, 1, 2, 2, 2, 1, 1, 2, 1, 2, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2,
+            2, 1, 1, 2, 2, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 2,
+            1, 1, 2, 1,
+        ]
+
+    def test_cplx_peak_memory_at_8192_ranks(self):
+        """Segment costs are gathered in fixed 32-step slabs and choices kept
+        as bits; a full (ranks x states) float table would need ~24 MiB."""
+        costs = make_costs("exponential", int(8192 * 2.25), seed=0)
+        policy = get_policy("cplx:50")
+        tracemalloc.start()
+        try:
+            policy.place(costs, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_chunking_quality_close_to_global(self):
         """Ablation guard: chunked CDP loses little vs global restricted CDP."""
@@ -161,3 +258,31 @@ class TestChunking:
             costs, chunked_cdp_counts(costs, 64, ranks_per_chunk=16)
         )
         assert chunked_m <= global_m * 1.35
+
+
+class TestGoldenCounts:
+    """Counts pinned from the original per-chunk loop implementation.
+
+    Any change to the DP's tie-break, backtrack or segment-sum rounding
+    moves this digest, even where the makespan stays optimal.
+    """
+
+    GOLDEN = "aa31a6d2c878d18d0efcff8c4bdd7861e95118d100fc37b4d6729e338a55f4c0"
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(20250611)
+        for kind in ("exponential", "ties", "ones", "pareto", "zeros"):
+            for _ in range(80):
+                r = int(rng.integers(1, 97))
+                n = int(rng.integers(0, 4 * r + 2))
+                rpc = int(rng.integers(1, 49))
+                yield corpus_costs(kind, n, rng), r, rpc
+
+    def test_counts_digest(self):
+        h = hashlib.sha256()
+        for costs, r, rpc in self.cases():
+            h.update(cdp_restricted(costs, r).astype("<i8").tobytes())
+            counts = chunked_cdp_counts(costs, r, ranks_per_chunk=rpc)
+            h.update(counts.astype("<i8").tobytes())
+        assert h.hexdigest() == self.GOLDEN

@@ -1,5 +1,6 @@
 """Tests for LPT and the exact branch-and-bound reference solver."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -19,6 +20,19 @@ small_instances = st.tuples(
     st.lists(st.floats(0.1, 10.0), min_size=1, max_size=12),
     st.integers(1, 4),
 )
+
+
+def heap_lpt(costs: np.ndarray, r: int, initial_loads=None) -> np.ndarray:
+    """Reference: one heap pop and push per block, in descending cost."""
+    loads = np.zeros(r) if initial_loads is None else initial_loads
+    heap = [(float(loads[k]), k) for k in range(r)]
+    heapq.heapify(heap)
+    out = np.empty(len(costs), dtype=np.int64)
+    for bid in np.argsort(-costs, kind="stable"):
+        load, rank = heapq.heappop(heap)
+        out[bid] = rank
+        heapq.heappush(heap, (load + float(costs[bid]), rank))
+    return out
 
 
 def brute_force_makespan(costs: np.ndarray, r: int) -> float:
@@ -49,6 +63,23 @@ class TestLPT:
         costs = np.array([1.0])
         a = lpt_assign(costs, 2, initial_loads=np.array([5.0, 0.0]))
         assert a[0] == 1
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 10.0)),
+            max_size=80,
+        ),
+        st.integers(1, 30),
+        st.booleans(),
+    )
+    def test_matches_heap_reference(self, costs, r, seeded):
+        """Equal-cost ties, zero costs and seeded loads all follow the
+        one-pop-per-block reference exactly."""
+        costs = np.asarray(costs, dtype=np.float64)
+        init = np.arange(r, dtype=np.float64) % 3 if seeded else None
+        assert np.array_equal(
+            lpt_assign(costs, r, initial_loads=init), heap_lpt(costs, r, init)
+        )
 
     def test_initial_loads_shape_checked(self):
         with pytest.raises(ValueError):

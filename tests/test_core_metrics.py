@@ -1,5 +1,7 @@
 """Tests for load/locality metrics and the placement timing budget."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from repro.core import (
     normalized_makespan,
     within_budget,
 )
+from repro.core.context import PlacementContext
 from repro.mesh import NeighborKind
 from repro.mesh.neighbors import NeighborGraph
 
@@ -49,6 +52,86 @@ class TestLoadStats:
         costs = np.asarray(costs)
         a = BaselinePolicy().compute(costs, r)
         assert normalized_makespan(costs, a, r) >= 1.0 - 1e-12
+
+
+#: zero, subnormal, ordinary and huge block costs, mixed within one list;
+#: huge ones overflow load sums and squares, tiny ones underflow the bound
+extreme_costs = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 1e-300),
+        st.floats(0.01, 100.0),
+        st.floats(1e300, 1.7e308),
+    ),
+    min_size=1,
+    max_size=40,
+).map(np.asarray)
+
+
+@st.composite
+def extreme_instances(draw):
+    costs = draw(extreme_costs)
+    r = draw(st.integers(1, 8))
+    assignment = np.asarray(
+        draw(st.lists(st.integers(0, r - 1), min_size=costs.size, max_size=costs.size)),
+        dtype=np.int64,
+    )
+    ctx = None
+    if draw(st.booleans()):
+        speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=r, max_size=r))
+        ctx = PlacementContext(
+            rank_speed=np.asarray(speeds), rank_nic_gbps=np.full(r, 100.0)
+        )
+    return costs, assignment, r, ctx
+
+
+class TestExtremeMagnitudes:
+    """Metrics stay finite and ordered for zero, subnormal and huge costs."""
+
+    @given(extreme_instances())
+    def test_normalized_makespan(self, inst):
+        costs, a, r, ctx = inst
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = normalized_makespan(costs, a, r, ctx=ctx)
+        assert np.isfinite(v)
+        assert v >= 1.0 - 1e-9
+        if not costs.any():
+            assert v == 1.0
+
+    @given(extreme_instances())
+    def test_load_stats(self, inst):
+        costs, a, r, ctx = inst
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ls = load_stats(costs, a, r, ctx=ctx)
+        assert ls.makespan == ls.loads.max()
+        assert ls.min_load == ls.loads.min()
+        # loads.mean() may round one ulp past equal loads
+        assert ls.min_load * (1 - 1e-12) <= ls.mean <= ls.makespan * (1 + 1e-12)
+        assert np.isfinite(ls.imbalance) and ls.imbalance >= 1.0 - 1e-9
+        assert np.isfinite(ls.cv) and ls.cv >= 0.0
+
+    @given(extreme_instances(), st.integers(-40, 40))
+    def test_normalized_makespan_scale_free(self, inst, shift):
+        """Rescaling every cost by a power of two leaves the ratio alone."""
+        costs, a, r, ctx = inst
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(costs, shift)
+        if not np.isfinite(scaled).all() or (scaled[costs > 0] == 0).any():
+            return
+        assert normalized_makespan(scaled, a, r, ctx=ctx) == pytest.approx(
+            normalized_makespan(costs, a, r, ctx=ctx), rel=1e-9
+        )
+
+    def test_subnormal_area_bound(self):
+        # total / r underflows to 0.0: the replayed Hypothesis example.
+        costs = np.array([5e-324])
+        a = np.array([0])
+        assert normalized_makespan(costs, a, 2) == 2.0
+        speeds = np.array([2.0, 1.0])
+        ctx = PlacementContext(rank_speed=speeds, rank_nic_gbps=np.full(2, 100.0))
+        assert normalized_makespan(costs, a, 2, ctx=ctx) == 1.5
 
 
 class TestMessageStats:
