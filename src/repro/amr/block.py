@@ -12,11 +12,12 @@ makes telemetry-driven costs imperfect predictors.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..mesh.geometry import BlockIndex
+from ..mesh.keys import block_keys, key_levels, parent_keys, unpack_keys
 
 __all__ = ["MeshBlock", "BlockCostTracker"]
 
@@ -60,9 +61,12 @@ class BlockCostTracker:
     noise; smoothing trades responsiveness against noise rejection
     exactly like a production cost hook would.
 
-    Block identity follows the :class:`BlockIndex` (stable across
-    redistributions and SFC renumbering); refined children inherit the
-    parent's estimate as their prior.
+    Block identity follows the packed block key (stable across
+    redistributions and SFC renumbering; see :mod:`repro.mesh.keys`),
+    and the estimates live in two aligned arrays sorted by key.  Refined
+    children inherit the parent's estimate as their prior.  The
+    :class:`BlockIndex` methods are thin wrappers that pack keys; the
+    ``*_keys`` methods are the array-native core the engine calls.
     """
 
     def __init__(self, alpha: float = 0.5, default_cost: float = 1.0) -> None:
@@ -70,53 +74,132 @@ class BlockCostTracker:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self.default_cost = default_cost
-        self._est: dict[BlockIndex, float] = {}
+        self._keys = np.empty(0, dtype=np.int64)    #: sorted block keys
+        self._vals = np.empty(0, dtype=np.float64)  #: estimate per key
+        self._dim: Optional[int] = None
+
+    def _set_dim(self, dim: int) -> None:
+        if self._dim is None:
+            self._dim = dim
+        elif dim != self._dim:
+            raise ValueError(f"tracker holds {self._dim}D blocks, got {dim}D")
+
+    def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(hit mask, position in the table) of each key."""
+        pos = np.searchsorted(self._keys, keys)
+        if self._keys.shape[0] == 0:
+            return np.zeros(keys.shape[0], dtype=bool), pos
+        hit = self._keys[np.minimum(pos, self._keys.shape[0] - 1)] == keys
+        return hit, pos
+
+    # ------------------------------------------------------------------ #
+    # array-native core
+    # ------------------------------------------------------------------ #
+
+    def observe_keys(self, keys: np.ndarray, measured: np.ndarray, dim: int) -> None:
+        """Fold one measurement per block key into the estimates.
+
+        Raises ``ValueError`` (before updating anything) if any
+        measurement is negative.  A key listed twice folds its
+        measurements in order, as repeated :meth:`observe` calls would.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        measured = np.asarray(measured, dtype=np.float64)
+        if keys.shape != measured.shape:
+            raise ValueError("keys and measured must have the same length")
+        if (measured < 0).any():
+            raise ValueError("measured cost must be >= 0")
+        self._set_dim(dim)
+        if keys.shape[0] == 0:
+            return
+        order = np.argsort(keys, kind="stable")
+        keys, measured = keys[order], measured[order]
+        repeat = np.zeros(keys.shape[0], dtype=bool)
+        repeat[1:] = keys[1:] == keys[:-1]
+        if repeat.any():
+            # Fold first occurrences, then the rest (in order) onto them.
+            self.observe_keys(keys[~repeat], measured[~repeat], dim)
+            self.observe_keys(keys[repeat], measured[repeat], dim)
+            return
+        hit, pos = self._find(keys)
+        at = pos[hit]
+        self._vals[at] = (1 - self.alpha) * self._vals[at] + self.alpha * measured[hit]
+        miss = ~hit
+        if miss.any():
+            self._keys = np.insert(self._keys, pos[miss], keys[miss])
+            self._vals = np.insert(self._vals, pos[miss], measured[miss])
+
+    def estimates_keys(self, keys: np.ndarray, dim: int) -> np.ndarray:
+        """Current estimate per block key; falls back to ancestors then
+        the default.
+
+        A freshly refined block has no history — its parent's estimate is
+        the best available prior (same region, same physics).  The search
+        walks up one level at a time for the keys still unresolved.
+        """
+        probe = np.asarray(keys, dtype=np.int64).copy()
+        out = np.full(probe.shape[0], self.default_cost, dtype=np.float64)
+        todo = np.arange(probe.shape[0])
+        while todo.shape[0]:
+            hit, pos = self._find(probe)
+            out[todo[hit]] = self._vals[pos[hit]]
+            up = ~hit & (key_levels(probe) > 0)
+            todo = todo[up]
+            probe = parent_keys(probe[up], dim)
+        return out
+
+    # ------------------------------------------------------------------ #
+    # BlockIndex API edge
+    # ------------------------------------------------------------------ #
 
     def observe(self, index: BlockIndex, measured_cost: float) -> None:
         """Fold one measured kernel time into the estimate."""
-        if measured_cost < 0:
-            raise ValueError("measured cost must be >= 0")
-        prev = self._est.get(index)
-        if prev is None:
-            self._est[index] = measured_cost
-        else:
-            self._est[index] = (1 - self.alpha) * prev + self.alpha * measured_cost
+        self.observe_all([index], [measured_cost])
 
     def observe_all(self, indices: list[BlockIndex], measured: np.ndarray) -> None:
-        for idx, m in zip(indices, np.asarray(measured, dtype=np.float64)):
-            self.observe(idx, float(m))
+        measured = np.asarray(measured, dtype=np.float64)
+        indices = list(indices)[: measured.shape[0]]
+        if not indices:
+            return
+        self.observe_keys(
+            block_keys(indices), measured[: len(indices)], indices[0].dim
+        )
 
     def estimate(self, index: BlockIndex) -> float:
-        """Current cost estimate; falls back to ancestors then default.
-
-        A freshly refined block has no history — its parent's estimate is
-        the best available prior (same region, same physics).
-        """
-        est = self._est.get(index)
-        if est is not None:
-            return est
-        probe = index
-        while probe.level > 0:
-            probe = probe.parent()
-            est = self._est.get(probe)
-            if est is not None:
-                return est
-        return self.default_cost
+        """Current cost estimate; falls back to ancestors then default."""
+        return float(self.estimates([index])[0])
 
     def estimates(self, indices: list[BlockIndex]) -> np.ndarray:
-        return np.asarray([self.estimate(i) for i in indices], dtype=np.float64)
+        indices = list(indices)
+        if not indices:
+            return np.empty(0, dtype=np.float64)
+        return self.estimates_keys(block_keys(indices), indices[0].dim)
 
     def state(self) -> dict[BlockIndex, float]:
         """Copy of the estimate table, for checkpointing."""
-        return dict(self._est)
+        if self._dim is None:
+            return {}
+        coords, levels = unpack_keys(self._keys, self._dim)
+        return {
+            BlockIndex(int(lv), tuple(int(c) for c in cs)): float(v)
+            for cs, lv, v in zip(coords, levels, self._vals)
+        }
 
     def load_state(self, estimates: dict[BlockIndex, float]) -> None:
         """Replace the estimate table from a checkpoint."""
-        self._est = dict(estimates)
+        blocks = list(estimates)
+        keys = block_keys(blocks)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._vals = np.asarray(
+            [estimates[b] for b in blocks], dtype=np.float64
+        ).reshape(-1)[order]
+        self._dim = blocks[0].dim if blocks else None
 
     def forget_except(self, live: set[BlockIndex]) -> None:
         """Drop estimates for blocks no longer in the mesh (bounded memory)."""
-        self._est = {k: v for k, v in self._est.items() if k in live}
+        keep = np.isin(self._keys, block_keys(live))
+        self._keys, self._vals = self._keys[keep], self._vals[keep]
 
     def __len__(self) -> int:
-        return len(self._est)
+        return int(self._keys.shape[0])

@@ -123,6 +123,7 @@ class CoolingWorkload:
         total = cfg.t_total if max_steps is None else min(max_steps, cfg.t_total)
         mesh = self._build_mesh()
         blocks = list(mesh.blocks)
+        keys = mesh.keys()
         graph = mesh.neighbor_graph
         step = 0
         idx = 0
@@ -133,6 +134,7 @@ class CoolingWorkload:
                 step_start=step,
                 n_steps=n,
                 blocks=blocks,
+                keys=keys,
                 graph=graph,
                 base_costs=self._costs(mesh, step / max(total, 1)),
                 n_refined=0,

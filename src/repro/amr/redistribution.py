@@ -16,13 +16,14 @@ that shows up as the ``lb`` phase (~3% in Fig. 6a).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.context import PlacementContext
 from ..core.policy import PlacementPolicy, PlacementResult
 from ..mesh.geometry import BlockIndex
+from ..mesh.keys import block_keys, first_child_keys, key_levels, parent_keys
 from ..simnet.machine import FabricSpec
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "stale_assignment",
     "redistribute",
     "carry_assignment",
+    "carry_assignment_keys",
     "remap_assignment",
 ]
 
@@ -67,20 +69,52 @@ def carry_assignment(
     parent's rank; a coarsened parent starts on its first child's rank
     (Parthenon keeps data where it was until redistribution moves it).
     Blocks with no identifiable predecessor get rank -1 (freshly created;
-    their move is not charged as migration).
+    their move is not charged as migration).  Packs block keys and runs
+    :func:`carry_assignment_keys`.
     """
-    owner: Dict[BlockIndex, int] = {
-        b: int(r) for b, r in zip(old_blocks, old_assignment)
-    }
-    out = np.full(len(new_blocks), -1, dtype=np.int64)
-    for i, b in enumerate(new_blocks):
-        r = owner.get(b)
-        if r is None and b.level > 0:
-            r = owner.get(b.parent())          # b is a refined child
-        if r is None:
-            r = owner.get(b.children()[0]) if b.level >= 0 else None  # merged parent
-        if r is not None:
-            out[i] = r
+    if not old_blocks or not new_blocks:
+        return np.full(len(new_blocks), -1, dtype=np.int64)
+    return carry_assignment_keys(
+        block_keys(old_blocks), old_assignment, block_keys(new_blocks),
+        old_blocks[0].dim,
+    )
+
+
+def carry_assignment_keys(
+    old_keys: np.ndarray,
+    old_assignment: np.ndarray,
+    new_keys: np.ndarray,
+    dim: int,
+) -> np.ndarray:
+    """:func:`carry_assignment` over packed block keys (sorted search).
+
+    Each new key is looked up as itself, then (if unowned and not a
+    root) as its parent, then as its first child.  If an old key repeats,
+    its last owner wins.
+    """
+    old_keys = np.asarray(old_keys, dtype=np.int64)
+    new_keys = np.asarray(new_keys, dtype=np.int64)
+    out = np.full(new_keys.shape[0], -1, dtype=np.int64)
+    if old_keys.shape[0] == 0 or new_keys.shape[0] == 0:
+        return out
+    order = np.argsort(old_keys, kind="stable")
+    table = old_keys[order]
+    owners = np.asarray(old_assignment, dtype=np.int64)[order]
+
+    def fill(todo: np.ndarray, probe: np.ndarray) -> np.ndarray:
+        """Set owners of ``todo`` found as ``probe``; returns the rest."""
+        pos = np.searchsorted(table, probe, side="right") - 1
+        found = (pos >= 0) & (table[np.maximum(pos, 0)] == probe)
+        out[todo[found]] = owners[pos[found]]
+        return todo[~found]
+
+    todo = fill(np.arange(new_keys.shape[0]), new_keys)
+    nonroot = key_levels(new_keys[todo]) > 0
+    up = todo[nonroot]
+    todo = np.concatenate([
+        todo[~nonroot], fill(up, parent_keys(new_keys[up], dim)),  # refined child
+    ])
+    fill(todo, first_child_keys(new_keys[todo], dim))     # merged parent
     return out
 
 

@@ -168,12 +168,16 @@ class SedovEpoch:
 
     Placement, neighbor structure, and base costs are fixed within an
     epoch; the driver simulates its ``n_steps`` steps with noise only.
+    ``keys`` holds the packed ``int64`` key of each block (SFC order,
+    aligned with ``blocks``; see :mod:`repro.mesh.keys`), which is what
+    the engine's per-block cost state and remesh carry are keyed by.
     """
 
     index: int
     step_start: int
     n_steps: int
     blocks: List[BlockIndex]
+    keys: np.ndarray
     graph: NeighborGraph
     base_costs: np.ndarray       #: true per-block kernel cost this epoch
     n_refined: int
@@ -298,6 +302,7 @@ class SedovWorkload:
             base_costs = self._epoch_costs(mesh, r)
             epoch_start = step
             blocks = list(mesh.blocks)
+            keys = mesh.keys()
             graph = mesh.neighbor_graph
             # Advance until the next mesh change, the epoch-length cap, or
             # the end of the run.
@@ -321,6 +326,7 @@ class SedovWorkload:
                 step_start=epoch_start,
                 n_steps=probe - epoch_start,
                 blocks=blocks,
+                keys=keys,
                 graph=graph,
                 base_costs=base_costs,
                 n_refined=n_ref,

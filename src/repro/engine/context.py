@@ -70,7 +70,7 @@ class EngineContext:
 
     # -- loop position and remesh carry -----------------------------------
     cursor: int = 0                       #: index of the epoch being run
-    prev_blocks: Optional[list] = None
+    prev_keys: Optional[np.ndarray] = None  #: previous epoch's block keys
     prev_assignment: Optional[np.ndarray] = None
 
     # -- run accumulators --------------------------------------------------

@@ -9,12 +9,7 @@ face/edge/vertex neighbor discovery, and 2:1-balanced refinement.
 from .fast_neighbors import build_neighbor_graph_auto, build_neighbor_graph_fast
 from .geometry import BlockIndex, RootGrid, block_bounds, child_offsets
 from .hilbert import hilbert_encode, hilbert_key, hilbert_sort_blocks
-from .incremental import (
-    BlockSplice,
-    IncrementalUpdateError,
-    splice_blocks,
-    update_neighbor_graph,
-)
+from .keys import block_keys, pack_keys, unpack_keys
 from .mesh import AmrMesh
 from .neighbors import NeighborGraph, NeighborKind, build_neighbor_graph, find_neighbors
 from .octree import OctreeForest
@@ -32,8 +27,6 @@ from .sharding import ShardedBlockTable
 __all__ = [
     "AmrMesh",
     "BlockIndex",
-    "BlockSplice",
-    "IncrementalUpdateError",
     "NeighborGraph",
     "NeighborKind",
     "OctreeForest",
@@ -43,6 +36,7 @@ __all__ = [
     "ShardedBlockTable",
     "apply_tags",
     "block_bounds",
+    "block_keys",
     "build_neighbor_graph",
     "build_neighbor_graph_auto",
     "build_neighbor_graph_fast",
@@ -57,8 +51,8 @@ __all__ = [
     "morton_decode",
     "morton_encode",
     "morton_key",
+    "pack_keys",
     "sfc_sort_blocks",
-    "splice_blocks",
     "tag_by_predicate",
-    "update_neighbor_graph",
+    "unpack_keys",
 ]

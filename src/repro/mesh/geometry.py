@@ -15,6 +15,7 @@ machinery.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,12 @@ def child_offsets(dim: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _child_offset_tuples(dim: int) -> Tuple[Tuple[int, ...], ...]:
+    """:func:`child_offsets` as plain tuples (hot in ``children()``)."""
+    return tuple(tuple(int(v) for v in row) for row in child_offsets(dim))
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class BlockIndex:
     """Logical address of a mesh block: refinement level + integer coords.
@@ -83,11 +90,11 @@ class BlockIndex:
 
     def children(self) -> Tuple["BlockIndex", ...]:
         """Return the ``2^dim`` children in Morton order."""
-        offs = child_offsets(self.dim)
         base = tuple(2 * c for c in self.coords)
+        level = self.level + 1
         return tuple(
-            BlockIndex(self.level + 1, tuple(base[k] + int(o[k]) for k in range(self.dim)))
-            for o in offs
+            BlockIndex(level, tuple(b + o for b, o in zip(base, off)))
+            for off in _child_offset_tuples(self.dim)
         )
 
     def child_number(self) -> int:

@@ -10,8 +10,8 @@ The forest stores the leaf set explicitly (hash set of
 :class:`BlockIndex`) — the tree structure is implicit in the index
 arithmetic, which keeps refine/coarsen O(1) per block and makes the
 structure trivially serializable.  Depth-first traversal for block-ID
-assignment is provided both directly (recursive descent) and via the
-Morton sort in :mod:`repro.mesh.sfc`; the two agree by construction.
+assignment is the Morton sort in :mod:`repro.mesh.sfc`, which visits
+leaves in exactly the order a recursive descent would.
 """
 
 from __future__ import annotations
@@ -139,25 +139,15 @@ class OctreeForest:
         """Leaves in depth-first (Morton-child) traversal order.
 
         This is the canonical block-ID order used by placement: root trees
-        are visited in row-major root order *re-sorted by Morton code of
-        the root coordinates*, and within a tree children are visited in
-        Morton order, which is exactly the Z-order SFC (paper Fig. 5).
+        are visited in Morton order of the root coordinates, and within a
+        tree children are visited in Morton order, which is exactly the
+        Z-order SFC (paper Fig. 5).  The traversal is computed as one
+        batched Morton sort of the leaf set (DFS order == sorted
+        ``morton_key`` order is property-tested against a recursive
+        descent), so the returned list holds the forest's own leaf
+        objects rather than freshly built indices.
         """
-        out: List[BlockIndex] = []
-        roots = sfc_sort_blocks(list(self.root.root_blocks()))
-        for r in roots:
-            self._dfs(r, out)
-        return out
-
-    def _dfs(self, node: BlockIndex, out: List[BlockIndex]) -> None:
-        if node in self._leaves:
-            out.append(node)
-            return
-        if node.level >= self.max_level:
-            # Defensive: a non-leaf at max level means a corrupted leaf set.
-            raise RuntimeError(f"non-leaf {node} at max_level — leaf set corrupted")
-        for child in node.children():
-            self._dfs(child, out)
+        return sfc_sort_blocks(self._leaves)
 
     def block_ids(self) -> Dict[BlockIndex, int]:
         """Map each leaf to its sequential block ID along the SFC."""

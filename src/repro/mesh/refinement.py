@@ -9,11 +9,8 @@ most ``2^(dim-1)` neighbors.  This module converts tags into a legal
 sequence of refine/coarsen operations.
 
 :func:`apply_tags` reports what it did as a :class:`RemeshDelta` — the
-refined leaves, the merged parents, and the surviving *halo* of blocks
-adjacent to any removed leaf.  The delta is everything
-:func:`repro.mesh.incremental.update_neighbor_graph` needs to splice a
-cached neighbor graph instead of rebuilding it, and it still unpacks as
-the historical ``(n_refined, n_coarsened)`` tuple.
+refined leaves and the merged parents — which still unpacks as the
+historical ``(n_refined, n_coarsened)`` tuple.
 """
 
 from __future__ import annotations
@@ -64,13 +61,6 @@ class RemeshDelta:
         they were refined (sorted by ``(level, coords)``).
     coarsened:
         Parents whose sibling sets were merged, in merge order.
-    halo:
-        Surviving leaves that were adjacent (pre-op) to any removed
-        leaf — the blocks whose neighbor rows an incremental graph
-        update must recompute.  Empty when nothing changed, or when the
-        producer skipped halo collection
-        (``apply_tags(..., collect_halo=False)``) because the consumer
-        derives the same set from a cached graph's edge rows.
 
     The delta iterates as ``(n_refined, n_coarsened)`` so historical
     tuple-unpacking call sites keep working.
@@ -78,7 +68,6 @@ class RemeshDelta:
 
     refined: Tuple[BlockIndex, ...]
     coarsened: Tuple[BlockIndex, ...]
-    halo: Tuple[BlockIndex, ...] = ()
 
     @property
     def n_refined(self) -> int:
@@ -111,8 +100,7 @@ class RemeshDelta:
 
     @property
     def touched(self) -> int:
-        """Removed + added leaf count — the work an incremental update
-        is proportional to."""
+        """Removed + added leaf count of the remesh."""
         full_r = 1 << (len(self.refined[0].coords) if self.refined else 0)
         full_c = 1 << (len(self.coarsened[0].coords) if self.coarsened else 0)
         return len(self.refined) * (1 + full_r) + len(self.coarsened) * (1 + full_c)
@@ -218,9 +206,7 @@ def _coarsen_is_safe(
     return True
 
 
-def apply_tags(
-    forest: OctreeForest, tags: RefinementTags, collect_halo: bool = True
-) -> RemeshDelta:
+def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
     """Apply tags to the forest in place; returns a :class:`RemeshDelta`.
 
     Refinement wins over coarsening: the refine set is first closed under
@@ -228,9 +214,6 @@ def apply_tags(
     whose merge does not violate balance against the post-refinement mesh.
 
     The returned delta still unpacks as ``(n_refined, n_coarsened)``.
-    ``collect_halo=False`` skips the pre-mutation halo probe — callers
-    holding a cached neighbor graph read the same set off its edge rows
-    for free, so probing it here would be pure overhead.
     """
     refine = enforce_two_one_balance(forest, set(tags.refine))
 
@@ -254,28 +237,11 @@ def apply_tags(
     refined = sorted(refine, key=lambda x: (x.level, x.coords))
     coarsened = sorted(accepted, key=lambda x: (x.level, x.coords))
 
-    # Halo: surviving pre-op neighbors of every removed leaf, probed
-    # before mutation so they match the cached graph's adjacency.
-    halo: Set[BlockIndex] = set()
-    if collect_halo:
-        removed: Set[BlockIndex] = set(refined)
-        for p in coarsened:
-            removed.update(p.children())
-        depth_limit = forest.max_level
-        for b in removed:
-            for nb in find_neighbors(forest, b, depth_limit=depth_limit):
-                if nb not in removed:
-                    halo.add(nb)
-
     for b in refined:
         forest.refine(b)
     for p in coarsened:
         forest.coarsen(p.children()[0])
-    return RemeshDelta(
-        refined=tuple(refined),
-        coarsened=tuple(coarsened),
-        halo=tuple(sorted(halo, key=lambda x: (x.level, x.coords))),
-    )
+    return RemeshDelta(refined=tuple(refined), coarsened=tuple(coarsened))
 
 
 def tag_by_predicate(

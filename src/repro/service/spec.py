@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..perf.executor import CellExecutionError
 from ..perf.supervisor import SupervisedReport, SupervisorConfig
 
 __all__ = [
@@ -132,6 +133,11 @@ def _sedov_execute(spec: JobSpec, on_event) -> JobOutcome:
         spec.config, jobs=spec.jobs, supervise=spec.supervise,
         on_event=on_event,
     )
+    if not result.outcomes and result.failures:
+        # Every cell was quarantined: there is nothing to render, so the
+        # job fails with the first cell's error.
+        first = result.failures[0]
+        raise CellExecutionError(first.index, first.item_repr, first.error)
     return JobOutcome(
         result=result,
         executor=result.executor,

@@ -42,6 +42,21 @@ from .tuning import TUNED, TuningConfig
 __all__ = ["ExchangePattern", "StepPhases", "BSPModel"]
 
 
+def _max_per_key(key: np.ndarray, size: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique keys and the largest ``size`` of each.
+
+    A maximum does not depend on order within a run of equal keys, so a
+    plain (unstable) sort and run starts from adjacent differences give
+    the same result as a stable sort plus ``np.unique``.
+    """
+    order = np.argsort(key)
+    key_s, size_s = key[order], size[order]
+    first = np.ones(key_s.shape[0], dtype=bool)
+    first[1:] = key_s[1:] != key_s[:-1]
+    start = np.flatnonzero(first)
+    return key_s[start], np.maximum.reduceat(size_s, start)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExchangePattern:
     """Boundary-exchange structure for a fixed (mesh, assignment) epoch.
@@ -131,11 +146,7 @@ class ExchangePattern:
 
         # Collapse to unique rank pairs, keeping the largest message per
         # pair for the critical transport latency.
-        key = src * np.int64(n_ranks) + dst
-        order = np.argsort(key, kind="stable")
-        key_s, size_s = key[order], size[order]
-        uniq, start = np.unique(key_s, return_index=True)
-        max_size = np.maximum.reduceat(size_s, start)
+        uniq, max_size = _max_per_key(src * np.int64(n_ranks) + dst, size)
         p_src = (uniq // n_ranks).astype(np.int64)
         p_dst = (uniq % n_ranks).astype(np.int64)
         p_local = (p_src // cluster.ranks_per_node) == (p_dst // cluster.ranks_per_node)

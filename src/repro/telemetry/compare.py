@@ -14,7 +14,6 @@ import dataclasses
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .columnar import ColumnTable
 from .engine import materialize
@@ -106,6 +105,10 @@ def compare_runs(
         if np.allclose(a, a[0]) and np.allclose(b, b[0]) and a[0] == b[0]:
             p_value = 1.0
         else:
+            # Imported here: scipy.stats costs ~0.5 s of import time that
+            # every other telemetry user would otherwise pay.
+            from scipy import stats
+
             p_value = float(stats.mannwhitneyu(a, b, alternative="two-sided").pvalue)
         mean_a = float(a.mean())
         mean_b = float(b.mean())

@@ -183,3 +183,37 @@ class TestRedistribution:
                 get_policy("baseline"), np.ones(4), 2, np.zeros(3, dtype=int),
                 DEFAULT_FABRIC,
             )
+
+
+class TestSedovTrajectoryGolden:
+    """The 512-rank reduced trajectory, pinned bit for bit.
+
+    The digest covers every epoch's step window, remesh counts, blocks,
+    neighbor edges and kinds, and base costs.  It was recorded while the
+    mesh still spliced small remesh deltas into its cached metadata, so
+    it also pins that full rebuilds reproduce that path exactly.
+    """
+
+    GOLDEN = "8f3c978e1b66afe5cc5bcedc9765a947b0fa40dbaa226be8dfe790aaa2dcdd1c"
+
+    def test_trajectory_digest(self):
+        import hashlib
+
+        from repro.mesh import block_keys
+
+        epochs = SedovWorkload(scaled_config(512)).full_trajectory()
+        h = hashlib.sha256()
+        for e in epochs:
+            h.update(np.asarray(
+                [e.step_start, e.n_steps, e.n_refined, e.n_coarsened],
+                dtype="<i8",
+            ).tobytes())
+            h.update(np.asarray(
+                [[b.level, *b.coords] for b in e.blocks], dtype="<i8"
+            ).tobytes())
+            h.update(np.ascontiguousarray(e.graph.edges, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(e.graph.kinds, dtype="<i1").tobytes())
+            h.update(np.ascontiguousarray(e.base_costs, dtype="<f8").tobytes())
+            assert np.array_equal(e.keys, block_keys(e.blocks))
+        assert (len(epochs), len(epochs[-1].blocks)) == (86, 2808)
+        assert h.hexdigest() == self.GOLDEN

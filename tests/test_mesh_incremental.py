@@ -1,9 +1,9 @@
-"""Incremental remesh metadata: delta parity, splicing, sharded tables.
+"""Remesh metadata: deltas, cache parity, balance closure, sharded tables.
 
-The acceptance bar for the incremental path is *element identity*: after
-any legal tag sequence, the spliced neighbor graph must equal a from-
-scratch rebuild — same blocks, same edge rows in the same order, same
-kinds — not just the same edge set.
+The acceptance bar for the cached metadata is *element identity*: after
+any legal tag sequence, the mesh's neighbor graph must equal a
+from-scratch build by the reference builder — same blocks, same edge
+rows in the same order, same kinds — not just the same edge set.
 """
 
 import numpy as np
@@ -14,15 +14,13 @@ from hypothesis import strategies as st
 from repro.mesh import (
     AmrMesh,
     BlockIndex,
-    IncrementalUpdateError,
     RefinementTags,
     RemeshDelta,
     RootGrid,
     ShardedBlockTable,
-    build_neighbor_graph_auto,
+    block_keys,
+    build_neighbor_graph,
     is_two_one_balanced,
-    splice_blocks,
-    update_neighbor_graph,
 )
 from repro.mesh.refinement import apply_tags, enforce_two_one_balance
 
@@ -37,8 +35,9 @@ def graphs_identical(g1, g2) -> bool:
 
 
 def assert_mesh_consistent(mesh: AmrMesh) -> None:
-    """Every cached derived structure matches a from-scratch rebuild."""
-    rebuilt = build_neighbor_graph_auto(mesh.forest)
+    """Every cached derived structure matches a from-scratch rebuild by
+    the reference builder."""
+    rebuilt = build_neighbor_graph(mesh.forest)
     assert graphs_identical(mesh.neighbor_graph, rebuilt)
     assert mesh.blocks == mesh.forest.leaves_dfs()
     assert mesh.blocks == mesh.neighbor_graph.blocks
@@ -51,11 +50,11 @@ def assert_mesh_consistent(mesh: AmrMesh) -> None:
     assert np.array_equal(
         levels, np.asarray([b.level for b in mesh.blocks], dtype=np.int64)
     )
+    assert np.array_equal(mesh.keys(), block_keys(mesh.blocks))
 
 
 def warmed_mesh(shape, periodic, max_level=3) -> AmrMesh:
     mesh = AmrMesh(RootGrid(shape, periodic=periodic), max_level=max_level)
-    mesh.incremental_max_fraction = 1.0  # always try the incremental path
     _ = mesh.neighbor_graph
     _ = mesh.levels()
     return mesh
@@ -101,76 +100,15 @@ class TestRemeshDelta:
         # 2D: each event removes/adds 1 + 4 leaves
         assert d.touched == 2 * (1 + 4)
 
-    def test_apply_tags_halo_matches_pre_op_neighbors(self):
-        forest = AmrMesh(RootGrid((4, 4)), max_level=2).forest
-        target = BlockIndex(0, (1, 1))
-        delta = apply_tags(forest, RefinementTags(refine={target}))
-        assert delta.refined == (target,)
-        # interior block of a 4x4 grid: all 8 surrounding roots survive
-        assert len(delta.halo) == 8
-        assert all(h.level == 0 for h in delta.halo)
-
-    def test_collect_halo_false_skips_probe(self):
-        forest = AmrMesh(RootGrid((4, 4)), max_level=2).forest
-        delta = apply_tags(
-            forest,
-            RefinementTags(refine={BlockIndex(0, (1, 1))}),
-            collect_halo=False,
-        )
-        assert delta.changed and delta.halo == ()
-
 
 # ---------------------------------------------------------------------- #
-# splice_blocks
-# ---------------------------------------------------------------------- #
-
-
-class TestSpliceBlocks:
-    def _mesh_and_delta(self):
-        mesh = warmed_mesh((2, 2), (False, False))
-        old_blocks = list(mesh.blocks)
-        id_of = {b: i for i, b in enumerate(old_blocks)}
-        delta = apply_tags(
-            mesh.forest, RefinementTags(refine={old_blocks[1]}), collect_halo=False
-        )
-        return mesh, old_blocks, id_of, delta
-
-    def test_matches_leaves_dfs(self):
-        mesh, old_blocks, id_of, delta = self._mesh_and_delta()
-        splice = splice_blocks(old_blocks, id_of, delta)
-        assert splice.blocks == mesh.forest.leaves_dfs()
-        # survivors keep relative order; removed map to -1
-        kept = [o for o, n in enumerate(splice.old_to_new) if n >= 0]
-        assert kept == [0, 2, 3]
-        assert splice.old_to_new[1] == -1
-        assert [splice.blocks[i] for i in splice.added] == list(
-            old_blocks[1].children()
-        )
-
-    def test_unknown_refined_block_raises(self):
-        _, old_blocks, id_of, _ = self._mesh_and_delta()
-        ghost = BlockIndex(1, (3, 3))
-        bad = RemeshDelta(refined=(ghost,), coarsened=())
-        with pytest.raises(IncrementalUpdateError):
-            splice_blocks(old_blocks, id_of, bad)
-
-    def test_non_contiguous_sibling_run_raises(self):
-        parent = BlockIndex(0, (0, 0))
-        kids = parent.children()
-        # interleave a stranger between the siblings
-        blocks = [kids[0], BlockIndex(0, (1, 1)), *kids[1:]]
-        id_of = {b: i for i, b in enumerate(blocks)}
-        bad = RemeshDelta(refined=(), coarsened=(parent,))
-        with pytest.raises(IncrementalUpdateError):
-            splice_blocks(blocks, id_of, bad)
-
-
-# ---------------------------------------------------------------------- #
-# incremental parity (Hypothesis)
+# cache parity against the reference builder (Hypothesis)
 # ---------------------------------------------------------------------- #
 
 
 class TestIncrementalParity:
+    """Random remesh sequences keep every cache equal to a rebuild."""
+
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_random_sequences_2d(self, seed):
@@ -209,69 +147,17 @@ class TestIncrementalParity:
         assert target not in mesh.forest
         assert all(c in mesh.forest for c in target.children())
 
-    def test_incremental_path_actually_taken(self, monkeypatch):
-        import repro.mesh.mesh as mesh_mod
-
-        calls = {"n": 0}
-        real = mesh_mod.update_neighbor_graph
-
-        def spy(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mesh_mod, "update_neighbor_graph", spy)
-        mesh = warmed_mesh((4, 4), (False, False))
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-        assert_mesh_consistent(mesh)
-        assert calls["n"] == 1
-
-    def test_update_without_precomputed_splice(self):
-        """update_neighbor_graph builds its own splice/id map if needed."""
-        mesh = warmed_mesh((2, 2), (True, False))
-        graph = mesh.neighbor_graph
-        delta = apply_tags(
-            mesh.forest,
-            RefinementTags(refine={graph.blocks[2]}),
-            collect_halo=False,
-        )
-        updated = update_neighbor_graph(graph, delta, mesh.forest)
-        assert graphs_identical(updated, build_neighbor_graph_auto(mesh.forest))
-
-    def test_noop_delta_returns_same_graph(self):
-        mesh = warmed_mesh((2, 2), (False, False))
-        graph = mesh.neighbor_graph
-        empty = RemeshDelta(refined=(), coarsened=())
-        assert update_neighbor_graph(graph, empty, mesh.forest) is graph
-
 
 # ---------------------------------------------------------------------- #
-# fallback behavior
+# cache invalidation
 # ---------------------------------------------------------------------- #
 
 
 class TestFallback:
-    def test_large_delta_falls_back(self, monkeypatch):
-        import repro.mesh.mesh as mesh_mod
-
-        calls = {"n": 0}
-        real = mesh_mod.update_neighbor_graph
-
-        def spy(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mesh_mod, "update_neighbor_graph", spy)
-        mesh = AmrMesh(RootGrid((2, 2)), max_level=3)
-        _ = mesh.neighbor_graph
-        mesh.incremental_max_fraction = 0.0  # nothing is "small"
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-        assert calls["n"] == 0
-        assert_mesh_consistent(mesh)
-
     def test_stale_cache_falls_back_cleanly(self):
         mesh = warmed_mesh((2, 2), (False, False))
-        # Mutate the forest behind the cache's back: the next delta can
-        # no longer be spliced into the cached lists.
+        # Mutate the forest behind the cache's back: the next changing
+        # remesh must still leave every cache equal to a rebuild.
         mesh.forest.refine(mesh.forest.leaves_dfs()[-1])
         mesh.remesh(RefinementTags(refine={mesh.forest.leaves_dfs()[0]}))
         assert_mesh_consistent(mesh)
@@ -281,7 +167,7 @@ class TestFallback:
         g0 = mesh.generation
         mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
         assert mesh.generation == g0 + 1
-        mesh.incremental_max_fraction = 0.0
+        _ = mesh.neighbor_graph  # a cached graph does not change the rule
         mesh.remesh(RefinementTags(refine={mesh.blocks[-1]}))
         assert mesh.generation == g0 + 2
 
@@ -325,9 +211,7 @@ class TestBalanceCascade:
         corner = BlockIndex(0, (0, 0))
         # stop one level short so the deepest corner leaf is refinable
         for _ in range(max_level - 1):
-            apply_tags(
-                mesh.forest, RefinementTags(refine={corner}), collect_halo=False
-            )
+            apply_tags(mesh.forest, RefinementTags(refine={corner}))
             corner = corner.children()[0]
         assert is_two_one_balanced(mesh.forest)
         # The domain-corner leaf only has same-level siblings; its

@@ -6,8 +6,26 @@ from hypothesis import strategies as st
 
 from repro.mesh.geometry import BlockIndex, RootGrid
 from repro.mesh.octree import OctreeForest
-from repro.mesh.sfc import sfc_sort_blocks
+from repro.mesh.sfc import morton_key, sfc_sort_blocks
 from tests.helpers import random_forest
+
+
+def recursive_dfs(forest: OctreeForest) -> list:
+    """Reference traversal: recursive descent over Morton-ordered children
+    from the Morton-sorted roots."""
+    out = []
+
+    def visit(node):
+        if node in forest:
+            out.append(node)
+            return
+        assert node.level < forest.max_level, f"non-leaf {node} at max_level"
+        for child in node.children():
+            visit(child)
+
+    for r in sfc_sort_blocks(forest.root.root_blocks()):
+        visit(r)
+    return out
 
 
 class TestRefineCoarsen:
@@ -66,8 +84,10 @@ class TestTraversal:
     def test_dfs_order_equals_morton_sort(self, seed):
         """The paper's Fig. 5 property: octree DFS == Z-order SFC."""
         f = random_forest(seed)
-        dfs = f.leaves_dfs()
-        assert dfs == sfc_sort_blocks(dfs)
+        dfs = recursive_dfs(f)
+        assert f.leaves_dfs() == dfs
+        max_level = max(b.level for b in dfs)
+        assert dfs == sorted(dfs, key=lambda b: morton_key(b, max_level))
 
     @given(st.integers(0, 100))
     def test_random_forest_valid(self, seed):

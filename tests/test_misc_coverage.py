@@ -129,3 +129,20 @@ class TestDriverConfigDefaults:
             cfg.seed = 7
         assert cfg.exchange_rounds >= 1
         assert 0 < cfg.samples_per_epoch <= 10
+
+
+class TestVersionSource:
+    def test_pyproject_reads_version_from_package(self):
+        """``repro.__version__`` is the only place the version is written."""
+        from pathlib import Path
+
+        import repro
+
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        dynamic = meta["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "repro.__version__"}
+        assert repro.__version__.count(".") == 2

@@ -311,3 +311,24 @@ class TestServiceEndToEnd:
             kinds = [e["kind"] for e in c.stream_events(job, poll_s=0.1)]
             assert kinds.count("complete") == 2
             assert c.status(job)["state"] == "done"
+
+
+class TestRunnerAllCellsFailed:
+    def test_supervised_sedov_fails_with_first_cell_error(self):
+        """Every cell quarantined: the job fails with the first cell's
+        error instead of crashing the renderer on an empty sweep."""
+        import dataclasses
+
+        from repro.perf import CellExecutionError
+        from repro.perf.supervisor import SupervisorConfig
+
+        spec = spec_from_params(
+            "sedov", {"scales": [256], "steps": 40, "policies": ["cplx:50"]}
+        )
+        spec = dataclasses.replace(spec, supervise=SupervisorConfig(retries=0))
+        with pytest.raises(CellExecutionError) as info:
+            JobRunner().run(spec)
+        assert info.value.index == 0
+        assert info.value.cause.startswith(
+            "KeyError: 'no Table I config for 256 ranks"
+        )

@@ -168,3 +168,53 @@ class TestSimulateSteps:
         t = ph.totals()
         assert set(t) == {"compute", "comm", "sync"}
         assert t["compute"] == pytest.approx(float(ph.compute.sum()))
+
+
+def _old_max_per_key(key, size):
+    """The pair collapse as first written: stable sort plus np.unique."""
+    order = np.argsort(key, kind="stable")
+    key_s, size_s = key[order], size[order]
+    uniq, start = np.unique(key_s, return_index=True)
+    return uniq, np.maximum.reduceat(size_s, start)
+
+
+class TestPairCollapse:
+    """The run-start pair collapse is bit-identical to the original."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_old_expression(self, seed):
+        from repro.simnet.runtime import _max_per_key
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 400))
+        span = int(rng.choice([1, 3, 50, 10_000]))  # 1 and 3: duplicate-heavy
+        key = rng.integers(0, span, size=n).astype(np.int64)
+        size = rng.choice([1.0, 4.0, 16.0], size=n) * rng.lognormal(size=n)
+        got, want = _max_per_key(key, size), _old_max_per_key(key, size)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("classes", [None, "fast:0.5x1@200,slow:1.0x1@25"])
+    def test_from_mesh_matches_old_collapse(self, seed, classes, monkeypatch):
+        from repro.bench.commbench import random_refined_mesh
+        from repro.simnet import hetero_cluster
+        from repro.simnet import runtime
+
+        rng = np.random.default_rng(seed)
+        mesh = random_refined_mesh(32, 4, rng)
+        cluster = Cluster(n_ranks=32) if classes is None else hetero_cluster(
+            32, classes
+        )
+        costs = rng.lognormal(size=mesh.n_blocks)
+        assignment = rng.integers(0, 32, size=mesh.n_blocks)
+        new = ExchangePattern.from_mesh(
+            mesh.neighbor_graph, assignment, costs, cluster
+        )
+        monkeypatch.setattr(runtime, "_max_per_key", _old_max_per_key)
+        old = ExchangePattern.from_mesh(
+            mesh.neighbor_graph, assignment, costs, cluster
+        )
+        for field in dataclasses.fields(ExchangePattern):
+            a, b = getattr(new, field.name), getattr(old, field.name)
+            assert np.array_equal(a, b), field.name

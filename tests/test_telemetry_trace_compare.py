@@ -140,3 +140,20 @@ class TestNetworkxExport:
         assert max(degrees.values()) == 26
         weights = {d["weight"] for _, _, d in g.edges(data=True)}
         assert weights == {4.0, 2.0, 1.0}
+
+
+def test_import_service_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` loads only when a Mann-Whitney test actually runs."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, repro.service; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
