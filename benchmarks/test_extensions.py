@@ -244,16 +244,16 @@ def test_extension_switch_topology(benchmark):
                 np.asarray(cluster.switch_of(pattern.pair_src))
                 != np.asarray(cluster.switch_of(pattern.pair_dst))
             ).sum()
-            out[policy] = {"wall": wall, "cross_switch_pairs": int(cross)}
+            out[policy] = {"wall": wall, "cross_switch_edges": int(cross)}
         return out
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nExtension 6 — two-tier switch topology (128 ranks, 4 switches):")
     for policy, d in result.items():
-        print(f"  {policy:9s} cross-switch rank pairs={d['cross_switch_pairs']:4d}  "
+        print(f"  {policy:9s} cross-switch block edges={d['cross_switch_edges']:4d}  "
               f"round wall={d['wall'] * 1e3:7.2f} ms (30 rounds)")
     # Locality-destroying placement crosses switches more.
     assert (
-        result["cplx:100"]["cross_switch_pairs"]
-        > result["cplx:0"]["cross_switch_pairs"]
+        result["cplx:100"]["cross_switch_edges"]
+        > result["cplx:0"]["cross_switch_edges"]
     )

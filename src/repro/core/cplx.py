@@ -93,6 +93,10 @@ class CPLX(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
+        if self.x_percent == 100.0 and costs.shape[0] > 0 and n_ranks >= 2:
+            # Every rank is selected, so the whole pool is re-placed and
+            # the CDP counts would be discarded: CPL100 is pure LPT.
+            return lpt_assign(costs, n_ranks)
         counts = chunked_cdp_counts(costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk)
         assignment = assignment_from_counts(counts)
         if self.x_percent == 0.0 or costs.shape[0] == 0 or n_ranks < 2:

@@ -42,7 +42,6 @@ from ..amr.redistribution import (
     commit_redistribution,
     prepare_redistribution,
 )
-from ..core.metrics import message_stats
 from ..core.policy import PlacementPolicy
 from ..perf.cache import maybe_cache, shared_cache_handle
 from ..simnet.cluster import Cluster
@@ -234,11 +233,12 @@ class EpochEngine:
             ctx.lb_per_rank = lb_per_rank
 
             # --- simulate the epoch's steps -----------------------------
-            # The epoch-pipeline cache reuses the pattern structure and
-            # message stats whenever (graph, assignment, cluster, fabric)
-            # is unchanged; hits are bit-identical to recomputation.
+            # The epoch-pipeline cache reuses the pattern structure (and
+            # the message stats it carries) whenever (graph, assignment,
+            # cluster, fabric) is unchanged; hits are bit-identical to
+            # recomputation.
             if ctx.pattern_cache is not None:
-                ctx.pattern, ms = ctx.pattern_cache.lookup(
+                ctx.pattern = ctx.pattern_cache.lookup(
                     epoch.graph, assignment, epoch.base_costs, ctx.cluster,
                     config.fabric,
                 )
@@ -247,9 +247,7 @@ class EpochEngine:
                     epoch.graph, assignment, epoch.base_costs, ctx.cluster,
                     config.fabric,
                 )
-                ms = message_stats(
-                    epoch.graph, assignment, ctx.cluster.ranks_per_node
-                )
+            ms = ctx.pattern.stats
             ctx.msg_acc += (
                 np.array([ms.intra_rank, ms.local, ms.remote]) * epoch.n_steps
             )

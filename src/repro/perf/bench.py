@@ -50,6 +50,7 @@ import numpy as np
 __all__ = [
     "PROFILES",
     "SECTIONS",
+    "THREAD_ENV_VARS",
     "run_bench",
     "write_bench",
     "load_bench",
@@ -154,6 +155,16 @@ def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
     }
 
 
+#: environment variables that size the BLAS/OpenMP thread pools
+THREAD_ENV_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
 def _environment(profile: str) -> Dict:
     from .. import __version__
 
@@ -165,6 +176,11 @@ def _environment(profile: str) -> Dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "cpu_affinity": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None
+        ),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV_VARS},
         "numpy": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

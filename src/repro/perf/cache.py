@@ -5,9 +5,9 @@ share the *same* :class:`~repro.mesh.neighbors.NeighborGraph` object
 (:class:`~repro.mesh.mesh.AmrMesh` caches it per generation).  When the
 placement also carries over — the baseline arm every epoch, any arm on
 a trigger-skip epoch — the expensive parts of
-:meth:`ExchangePattern.from_mesh` (edge gather, rank-pair collapse,
-latency classification) and of :func:`message_stats` are recomputed to
-bit-identical values.  :class:`PatternCache` memoizes both.
+:meth:`ExchangePattern.from_mesh` (edge gather, cross-rank edge
+classification, latencies and the carried message stats) are recomputed
+to bit-identical values.  :class:`PatternCache` memoizes them.
 
 Correctness contract (pinned by the cache tests):
 
@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.metrics import MessageStats, message_stats
 from ..simnet.cluster import Cluster
 from ..simnet.machine import FabricSpec
 from ..simnet.runtime import ExchangePattern
@@ -74,11 +73,10 @@ class _Entry:
     graph: object
     cluster: Cluster
     pattern: ExchangePattern       #: loads field is stale; recomputed per hit
-    stats: MessageStats
 
 
 class PatternCache:
-    """LRU cache of :class:`ExchangePattern` structure + message stats.
+    """LRU cache of :class:`ExchangePattern` structure (with its message stats).
 
     Parameters
     ----------
@@ -116,11 +114,11 @@ class PatternCache:
         costs: np.ndarray,
         cluster: Cluster,
         fabric: FabricSpec,
-    ) -> Tuple[ExchangePattern, MessageStats]:
-        """Return ``(pattern, message_stats)`` for this epoch.
+    ) -> ExchangePattern:
+        """Return this epoch's pattern.
 
-        Bit-identical to calling :meth:`ExchangePattern.from_mesh` and
-        :func:`message_stats` directly, whether it hits or misses.
+        Bit-identical to calling :meth:`ExchangePattern.from_mesh`
+        directly, whether it hits or misses.
         """
         assignment = np.asarray(assignment, dtype=np.int64)
         key = self._key(graph, assignment, cluster, fabric)
@@ -134,19 +132,16 @@ class PatternCache:
                 np.bincount(assignment, weights=costs, minlength=cluster.n_ranks),
                 dtype=np.float64,
             )
-            return dataclasses.replace(entry.pattern, loads=loads), entry.stats
+            return dataclasses.replace(entry.pattern, loads=loads)
 
         self.stats.misses += 1
         pattern = ExchangePattern.from_mesh(graph, assignment, costs, cluster, fabric)
-        ms = message_stats(graph, assignment, cluster.ranks_per_node)
-        self._entries[key] = _Entry(
-            graph=graph, cluster=cluster, pattern=pattern, stats=ms
-        )
+        self._entries[key] = _Entry(graph=graph, cluster=cluster, pattern=pattern)
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        return pattern, ms
+        return pattern
 
 
 def maybe_cache(size: int) -> Optional[PatternCache]:
@@ -172,7 +167,7 @@ class SharedPatternCache:
     shared store instead keys by a content fingerprint (graph edge
     arrays + block set, assignment bytes, cluster spec, fabric), so two
     tenants sweeping the same configuration share entries.  Hits remain
-    bit-identical: ``from_mesh``/``message_stats`` are pure functions of
+    bit-identical: ``from_mesh`` is a pure function of
     exactly the fingerprinted content, and per-epoch ``loads`` are
     recomputed on every hit as in :class:`PatternCache`.
 
@@ -253,7 +248,7 @@ class SharedPatternCache:
         cluster: Cluster,
         fabric: FabricSpec,
         stats: Optional[PatternCacheStats] = None,
-    ) -> Tuple[ExchangePattern, MessageStats]:
+    ) -> ExchangePattern:
         assignment = np.asarray(assignment, dtype=np.int64)
         key = self._key(graph, assignment, cluster, fabric)
         with self._lock:
@@ -268,18 +263,17 @@ class SharedPatternCache:
                 np.bincount(assignment, weights=costs, minlength=cluster.n_ranks),
                 dtype=np.float64,
             )
-            return dataclasses.replace(entry.pattern, loads=loads), entry.stats
+            return dataclasses.replace(entry.pattern, loads=loads)
 
         # Compute outside the lock (the expensive part); a concurrent
         # duplicate insert is harmless — both values are bit-identical.
         pattern = ExchangePattern.from_mesh(graph, assignment, costs, cluster, fabric)
-        ms = message_stats(graph, assignment, cluster.ranks_per_node)
         self.stats.misses += 1
         if stats is not None:
             stats.misses += 1
         with self._lock:
             self._entries[key] = _Entry(
-                graph=graph, cluster=cluster, pattern=pattern, stats=ms
+                graph=graph, cluster=cluster, pattern=pattern
             )
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
@@ -287,7 +281,7 @@ class SharedPatternCache:
                 self.stats.evictions += 1
                 if stats is not None:
                     stats.evictions += 1
-        return pattern, ms
+        return pattern
 
 
 class PatternCacheHandle:
@@ -309,7 +303,7 @@ class PatternCacheHandle:
         costs: np.ndarray,
         cluster: Cluster,
         fabric: FabricSpec,
-    ) -> Tuple[ExchangePattern, MessageStats]:
+    ) -> ExchangePattern:
         return self.store.lookup(
             graph, assignment, costs, cluster, fabric, stats=self.stats
         )

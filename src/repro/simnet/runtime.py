@@ -3,7 +3,8 @@
 This is the fast path used by the Sedov experiments and microbenchmarks:
 instead of simulating every message as a discrete event, each timestep
 is evaluated with closed-form, vectorized phase arithmetic over ranks
-and rank-pairs.  The model captures the mechanisms the paper measures:
+and cross-rank block edges.  The model captures the mechanisms the paper
+measures:
 
 * per-rank **compute** time from assigned block costs, node speed
   (throttling) and machine noise;
@@ -20,9 +21,9 @@ and rank-pairs.  The model captures the mechanisms the paper measures:
 * **synchronization** as a terminal allreduce: every rank stalls until
   the straggler arrives (Fig. 6a's dominant phase).
 
-One step costs O(ranks + rank-pairs), so 50k-step runs at 4096 ranks are
-tractable; the driver additionally compresses constant-placement epochs
-(see :mod:`repro.amr.driver`).
+One step costs O(ranks + cross-rank edges), so 50k-step runs at 4096
+ranks are tractable; the driver additionally compresses
+constant-placement epochs (see :mod:`repro.amr.driver`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.metrics import DEFAULT_MESSAGE_WEIGHTS
+from ..core.metrics import DEFAULT_MESSAGE_WEIGHTS, MessageStats
 from ..mesh.neighbors import NeighborGraph
 from .cluster import Cluster
 from .faults import NO_FAULTS, FaultModel
@@ -40,21 +41,6 @@ from .machine import DEFAULT_FABRIC, FabricSpec
 from .tuning import TUNED, TuningConfig
 
 __all__ = ["ExchangePattern", "StepPhases", "BSPModel"]
-
-
-def _max_per_key(key: np.ndarray, size: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique keys and the largest ``size`` of each.
-
-    A maximum does not depend on order within a run of equal keys, so a
-    plain (unstable) sort and run starts from adjacent differences give
-    the same result as a stable sort plus ``np.unique``.
-    """
-    order = np.argsort(key)
-    key_s, size_s = key[order], size[order]
-    first = np.ones(key_s.shape[0], dtype=bool)
-    first[1:] = key_s[1:] != key_s[:-1]
-    start = np.flatnonzero(first)
-    return key_s[start], np.maximum.reduceat(size_s, start)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,9 +55,9 @@ class ExchangePattern:
     n_ranks:
         World size.
     pair_src, pair_dst, pair_local, pair_latency:
-        Directed rank-pair message aggregates: source rank, destination
-        rank, locality flag, and the critical-path transport latency of
-        the pair (base path latency + largest single message's
+        One entry per cross-rank block pair; messages flow both ways.
+        The two endpoint ranks, the locality flag, and the transport
+        latency of one message (base path latency + the message's
         serialization).
     in_local, in_remote:
         Per-rank incoming message counts (block-pair granularity).
@@ -81,6 +67,9 @@ class ExchangePattern:
         Per-rank compute load (sum of assigned block costs).
     intra_volume:
         Per-rank same-rank boundary volume serviced by ``memcpy``.
+    stats:
+        The epoch's :class:`~repro.core.metrics.MessageStats`, equal to
+        :func:`~repro.core.metrics.message_stats` without a context.
     """
 
     n_ranks: int
@@ -93,6 +82,7 @@ class ExchangePattern:
     out_remote: np.ndarray
     loads: np.ndarray
     intra_volume: np.ndarray
+    stats: MessageStats
 
     @classmethod
     def from_mesh(
@@ -104,9 +94,19 @@ class ExchangePattern:
         fabric: FabricSpec = DEFAULT_FABRIC,
         weights: Dict | None = None,
     ) -> "ExchangePattern":
-        """Aggregate a block-level neighbor graph to rank-pair arrays."""
+        """Reduce a block-level neighbor graph to cross-rank edge arrays.
+
+        One pass over the graph's edges: same-rank edges become memcpy
+        volume, every cross-rank edge keeps one entry (its messages flow
+        both ways), and the message counts are classified alongside.
+        """
         n_ranks = cluster.n_ranks
         assignment = np.asarray(assignment, dtype=np.int64)
+        if graph.n_blocks != assignment.shape[0]:
+            raise ValueError(
+                f"assignment covers {assignment.shape[0]} blocks, "
+                f"graph has {graph.n_blocks}"
+            )
         loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
         w = graph.edge_weights(weights or DEFAULT_MESSAGE_WEIGHTS)
 
@@ -123,64 +123,85 @@ class ExchangePattern:
                 out_remote=z.copy(),
                 loads=loads,
                 intra_volume=z.copy(),
+                stats=MessageStats(0, 0, 0, 0.0, 0.0, 0.0),
             )
 
         ra = assignment[graph.edges[:, 0]]
         rb = assignment[graph.edges[:, 1]]
         cross = ra != rb
+        same = ~cross
         intra_volume = np.bincount(
-            ra[~cross], weights=w[~cross], minlength=n_ranks
+            ra[same], weights=w[same], minlength=n_ranks
         ).astype(np.float64)
 
-        # Directed messages: each cross-rank block pair exchanges both ways.
-        src = np.concatenate([ra[cross], rb[cross]])
-        dst = np.concatenate([rb[cross], ra[cross]])
-        size = np.concatenate([w[cross], w[cross]])
-        node_src = src // cluster.ranks_per_node
-        node_dst = dst // cluster.ranks_per_node
-        local = node_src == node_dst
+        a, b, size = ra[cross], rb[cross], w[cross]
+        rpn = cluster.ranks_per_node
+        local = (a // rpn) == (b // rpn)
+        remote = ~local
 
-        in_local = np.bincount(dst[local], minlength=n_ranks).astype(np.float64)
-        in_remote = np.bincount(dst[~local], minlength=n_ranks).astype(np.float64)
-        out_remote = np.bincount(src[~local], minlength=n_ranks).astype(np.float64)
+        def incoming(m: np.ndarray) -> np.ndarray:
+            # Each edge in ``m`` delivers one message to each endpoint.
+            return (
+                np.bincount(a[m], minlength=n_ranks)
+                + np.bincount(b[m], minlength=n_ranks)
+            ).astype(np.float64)
 
-        # Collapse to unique rank pairs, keeping the largest message per
-        # pair for the critical transport latency.
-        uniq, max_size = _max_per_key(src * np.int64(n_ranks) + dst, size)
-        p_src = (uniq // n_ranks).astype(np.int64)
-        p_dst = (uniq % n_ranks).astype(np.int64)
-        p_local = (p_src // cluster.ranks_per_node) == (p_dst // cluster.ranks_per_node)
+        in_local = incoming(local)
+        in_remote = incoming(remote)
+
         if cluster.node_nic_gbps is not None:
             # Mixed NIC tiers: a cross-node pair's payload bandwidth is
             # governed by the slower endpoint's NIC.
             nic = cluster.rank_nic()
-            remote_bw = fabric.remote_pair_bandwidth(
-                np.minimum(nic[p_src], nic[p_dst])
-            )
+            remote_bw = fabric.remote_pair_bandwidth(np.minimum(nic[a], nic[b]))
         else:
             remote_bw = fabric.remote_bandwidth
         lat = np.where(
-            p_local,
-            fabric.local_latency_s + max_size / fabric.local_bandwidth,
-            fabric.remote_latency_s + max_size / remote_bw,
+            local,
+            fabric.local_latency_s + size / fabric.local_bandwidth,
+            fabric.remote_latency_s + size / remote_bw,
         )
         if fabric.cross_switch_extra_s > 0:
-            cross = np.asarray(cluster.switch_of(p_src)) != np.asarray(
-                cluster.switch_of(p_dst)
-            )
-            lat = lat + cross * fabric.cross_switch_extra_s
+            far = np.asarray(cluster.switch_of(a)) != np.asarray(cluster.switch_of(b))
+            lat = lat + far * fabric.cross_switch_extra_s
+        # Same element selections, in the same order, as message_stats:
+        # the volume sums are bit-equal to it.
+        stats = MessageStats(
+            intra_rank=int(same.sum()),
+            local=int(local.sum()),
+            remote=int(remote.sum()),
+            intra_rank_volume=float(w[same].sum()),
+            local_volume=float(size[local].sum()),
+            remote_volume=float(size[remote].sum()),
+        )
         return cls(
             n_ranks=n_ranks,
-            pair_src=p_src,
-            pair_dst=p_dst,
-            pair_local=np.asarray(p_local, dtype=bool),
+            pair_src=a,
+            pair_dst=b,
+            pair_local=local,
             pair_latency=lat.astype(np.float64),
             in_local=in_local,
             in_remote=in_remote,
-            out_remote=out_remote,
+            # Every cross-rank edge sends one message each way.
+            out_remote=in_remote,
             loads=np.asarray(loads, dtype=np.float64),
             intra_volume=intra_volume,
+            stats=stats,
         )
+
+    def arrivals(self, dispatch: np.ndarray) -> np.ndarray:
+        """Per-rank latest incoming message arrival for send times ``dispatch``.
+
+        Each cross-rank edge carries one message each way.  A maximum
+        ignores order and duplicates, and rounding is monotone, so this
+        equals scattering only each rank pair's largest message.
+        """
+        arr = np.zeros(self.n_ranks, dtype=np.float64)
+        if self.pair_src.size:
+            src, dst, lat = self.pair_src, self.pair_dst, self.pair_latency
+            np.maximum.at(arr, dst, dispatch[src] + lat)
+            np.maximum.at(arr, src, dispatch[dst] + lat)
+        return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,20 +351,10 @@ class BSPModel:
         memcpy = pattern.intra_volume * rounds / self.MEMCPY_BANDWIDTH
 
         # -- arrival fixpoint ---------------------------------------------
-        def arrivals(disp: np.ndarray) -> np.ndarray:
-            arr = np.zeros(n, dtype=np.float64)
-            if pattern.pair_src.size:
-                np.maximum.at(
-                    arr,
-                    pattern.pair_dst,
-                    disp[pattern.pair_src] + pattern.pair_latency,
-                )
-            return arr
-
         if t.send_priority:
             # Early dispatch means a rank rarely waits on neighbor skew:
             # arrivals race only against the receiver's own compute.
-            max_arrival = arrivals(dispatch)
+            max_arrival = pattern.arrivals(dispatch)
             ready = np.maximum(compute, max_arrival) + backlog + memcpy
         else:
             # Sends scheduled after compute *and* waits: dispatch depends
@@ -352,7 +363,7 @@ class BSPModel:
             ready = compute + backlog + memcpy
             for _ in range(self.CASCADE_ITERS):
                 dispatch = ready
-                max_arrival = arrivals(dispatch)
+                max_arrival = pattern.arrivals(dispatch)
                 ready = np.maximum(compute, max_arrival) + backlog + memcpy
 
         # Senders blocked in MPI_Wait by ACK recovery: the recovery path

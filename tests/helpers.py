@@ -1,4 +1,5 @@
-"""Shared test helpers (random structure generators, live job service)."""
+"""Shared test helpers (random structure generators, Hypothesis
+strategies, live job service)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,20 @@ import threading
 import time
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.mesh.geometry import RootGrid
 from repro.mesh.octree import OctreeForest
+
+
+#: one zero, subnormal, ordinary or huge magnitude; huge ones overflow
+#: sums and squares, tiny ones underflow ratios
+extreme_floats = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 1e-300),
+    st.floats(0.01, 100.0),
+    st.floats(1e300, 1.7e308),
+)
 
 
 class LiveService:

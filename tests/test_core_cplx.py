@@ -7,16 +7,26 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CPLX,
+    LPTPolicy,
     contiguity_fraction,
     get_policy,
     load_stats,
     lpt_assign,
     select_rebalance_ranks,
 )
+from repro.core.baseline import assignment_from_counts
+from repro.core.chunked import chunked_cdp_counts
+
+from tests.helpers import extreme_floats
 
 costs_strategy = st.lists(st.floats(0.05, 10.0), min_size=8, max_size=120).map(
     np.asarray
 )
+
+#: zero, subnormal and huge costs, plus ties; includes the empty list
+mixed_costs = st.lists(
+    st.one_of(extreme_floats, st.sampled_from([1.0, 2.0])), max_size=60
+).map(lambda c: np.asarray(c, dtype=np.float64))
 
 
 class TestSelection:
@@ -76,6 +86,28 @@ class TestEndpoints:
         la = np.sort(np.bincount(a, weights=costs, minlength=r))
         lb = np.sort(np.bincount(b, weights=costs, minlength=r))
         assert np.allclose(la, lb)
+
+    @given(mixed_costs, st.integers(1, 16))
+    @settings(max_examples=300)
+    def test_x100_is_lpt(self, costs, r):
+        """CPL100 skips the CDP stage, with the same result as running it:
+        every rank is selected and the whole pool is re-placed."""
+        got = CPLX(x_percent=100).place(costs, r).assignment
+        assert np.array_equal(got, LPTPolicy().place(costs, r).assignment)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                counts = chunked_cdp_counts(costs, r, ranks_per_chunk=512)
+        except AssertionError:
+            # The CDP stage cannot run once the prefix sums overflow.
+            assert not np.isfinite(np.cumsum(costs)[-1])
+            return
+        staged = assignment_from_counts(counts)
+        if costs.size and r >= 2:
+            loads = np.bincount(staged, weights=costs, minlength=r)
+            ranks = select_rebalance_ranks(loads, 100.0)
+            ids = np.nonzero(np.isin(staged, ranks))[0]
+            staged[ids] = ranks[lpt_assign(costs[ids], int(ranks.size))]
+        assert np.array_equal(got, staged)
 
     def test_invalid_x_rejected(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,8 @@ from repro.core.context import PlacementContext
 from repro.mesh import NeighborKind
 from repro.mesh.neighbors import NeighborGraph
 
+from tests.helpers import extreme_floats
+
 
 def toy_graph() -> NeighborGraph:
     """4 blocks in a path: 0-1 (face), 1-2 (edge), 2-3 (vertex)."""
@@ -56,16 +58,7 @@ class TestLoadStats:
 
 #: zero, subnormal, ordinary and huge block costs, mixed within one list;
 #: huge ones overflow load sums and squares, tiny ones underflow the bound
-extreme_costs = st.lists(
-    st.one_of(
-        st.just(0.0),
-        st.floats(5e-324, 1e-300),
-        st.floats(0.01, 100.0),
-        st.floats(1e300, 1.7e308),
-    ),
-    min_size=1,
-    max_size=40,
-).map(np.asarray)
+extreme_costs = st.lists(extreme_floats, min_size=1, max_size=40).map(np.asarray)
 
 
 @st.composite

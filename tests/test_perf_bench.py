@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.cli import main
 from repro.perf.bench import (
     PROFILES,
     SECTIONS,
+    THREAD_ENV_VARS,
     compare_bench,
     format_bench,
     load_bench,
@@ -31,6 +33,11 @@ class TestRunBench:
         meta = smoke_result["meta"]
         assert meta["profile"] == "smoke"
         assert meta["python"] and meta["cpu_count"] >= 1
+        assert set(meta["thread_env"]) == set(THREAD_ENV_VARS)
+        for name, value in meta["thread_env"].items():
+            assert value == os.environ.get(name), name
+        affinity = meta["cpu_affinity"]
+        assert affinity is None or 1 <= affinity <= meta["cpu_count"]
         metrics = smoke_result["metrics"]
         assert any(n.startswith("policy.") for n in metrics)
         assert any(n.startswith("mesh.") for n in metrics)

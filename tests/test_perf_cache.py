@@ -9,7 +9,7 @@ from repro.amr.driver import run_trajectory
 from repro.core.metrics import message_stats
 from repro.core.policy import get_policy
 from repro.engine.types import DriverConfig
-from repro.perf.cache import PatternCache, maybe_cache
+from repro.perf.cache import PatternCache, SharedPatternCache, maybe_cache
 from repro.resilience.experiment import small_workload
 from repro.simnet.cluster import Cluster
 from repro.simnet.runtime import ExchangePattern
@@ -55,13 +55,15 @@ class TestLookup:
         # Second lookup with *different* costs must hit, yet match an
         # uncached recomputation bit for bit (only loads depends on costs).
         costs = _costs(epoch, 2)
-        pattern, ms = cache.lookup(epoch.graph, assignment, costs, cluster, FABRIC)
+        pattern = cache.lookup(epoch.graph, assignment, costs, cluster, FABRIC)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         direct = ExchangePattern.from_mesh(
             epoch.graph, assignment, costs, cluster, FABRIC
         )
         assert_patterns_identical(pattern, direct)
-        assert ms == message_stats(epoch.graph, assignment, cluster.ranks_per_node)
+        assert pattern.stats == message_stats(
+            epoch.graph, assignment, cluster.ranks_per_node
+        )
 
     def test_assignment_change_misses(self, epochs, cluster):
         cache = PatternCache(4)
@@ -116,6 +118,25 @@ class TestLookup:
         assert isinstance(maybe_cache(3), PatternCache)
         with pytest.raises(ValueError):
             PatternCache(0)
+
+
+class TestSharedLookup:
+    def test_hit_is_bit_identical_and_keeps_stats(self, epochs, cluster):
+        store = SharedPatternCache(4)
+        handle = store.handle()
+        epoch = epochs[0]
+        assignment = _assignment(epoch, cluster)
+        handle.lookup(epoch.graph, assignment, _costs(epoch, 1), cluster, FABRIC)
+        costs = _costs(epoch, 2)
+        pattern = handle.lookup(epoch.graph, assignment, costs, cluster, FABRIC)
+        assert handle.stats.hits == 1 and handle.stats.misses == 1
+        direct = ExchangePattern.from_mesh(
+            epoch.graph, assignment, costs, cluster, FABRIC
+        )
+        assert_patterns_identical(pattern, direct)
+        assert pattern.stats == message_stats(
+            epoch.graph, assignment, cluster.ranks_per_node
+        )
 
 
 class TestEngineIntegration:

@@ -44,6 +44,8 @@ WIDE = {
     "policies": ["baseline", "cplx:0", "cplx:25", "cplx:50",
                  "cplx:75", "cplx:100"],
 }
+#: WIDE with enough steps to outlast a short deadline many times over
+LONG = dict(WIDE, steps=300)
 
 
 def make_record(job_id, seq, params=TINY, tenant="alice", state="queued",
@@ -375,7 +377,7 @@ class TestDeadlines:
     ):
         svc = live_service()
         with svc.client() as c:
-            job = c.submit("sedov", WIDE, deadline_s=0.25)
+            job = c.submit("sedov", LONG, deadline_s=0.05)
             reply = c.result(job, timeout_s=300)
             assert reply["state"] == "failed"
             assert "deadline" in reply["error"]
@@ -385,10 +387,10 @@ class TestDeadlines:
             assert status["cells_done"] < status["cells_total"]
             # The journal survives: resume_of completes bit-identically
             # with no deadline this time.
-            resumed = c.submit("sedov", WIDE, resume_of=job)
+            resumed = c.submit("sedov", LONG, resume_of=job)
             final = c.result(resumed, timeout_s=600)
             assert final["state"] == "done"
-        serial = JobRunner().run(spec_from_params("sedov", WIDE))
+        serial = JobRunner().run(spec_from_params("sedov", LONG))
         assert final["result"]["digest"] == serial.digest
 
     def test_invalid_deadline_rejected(self, live_service):

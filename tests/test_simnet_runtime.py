@@ -4,8 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import get_policy, message_stats
+from repro.core import DEFAULT_MESSAGE_WEIGHTS, get_policy, message_stats
+from repro.mesh import NeighborKind
+from repro.mesh.neighbors import NeighborGraph
 from repro.simnet import (
     BSPModel,
     Cluster,
@@ -14,6 +18,9 @@ from repro.simnet import (
     TUNED,
     UNTUNED,
 )
+from repro.simnet.machine import DEFAULT_FABRIC, DEFAULT_MACHINE
+
+from tests.helpers import extreme_floats
 
 
 @pytest.fixture
@@ -178,43 +185,219 @@ def _old_max_per_key(key, size):
     return uniq, np.maximum.reduceat(size_s, start)
 
 
+@dataclasses.dataclass(frozen=True)
+class _CollapsedPattern(ExchangePattern):
+    """The directed rank-pair layout: one entry per (source, destination)."""
+
+    def arrivals(self, dispatch):
+        arr = np.zeros(self.n_ranks, dtype=np.float64)
+        if self.pair_src.size:
+            np.maximum.at(
+                arr, self.pair_dst, dispatch[self.pair_src] + self.pair_latency
+            )
+        return arr
+
+
+def _arrivals_only(cls, n_ranks, src, dst, latency):
+    """A pattern carrying only the fields ``arrivals`` reads."""
+    return cls(
+        n_ranks=n_ranks, pair_src=src, pair_dst=dst, pair_local=None,
+        pair_latency=latency, in_local=None, in_remote=None, out_remote=None,
+        loads=None, intra_volume=None, stats=None,
+    )
+
+
+def _collapsed_from_mesh(graph, assignment, costs, cluster, fabric=DEFAULT_FABRIC):
+    """Oracle: the sort-and-collapse ``from_mesh``.
+
+    Every cross-rank block pair becomes two directed messages, which are
+    collapsed to unique rank pairs keeping each pair's largest message.
+    """
+    n_ranks = cluster.n_ranks
+    assignment = np.asarray(assignment, dtype=np.int64)
+    loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
+    w = graph.edge_weights(DEFAULT_MESSAGE_WEIGHTS)
+    ra = assignment[graph.edges[:, 0]]
+    rb = assignment[graph.edges[:, 1]]
+    cross = ra != rb
+    intra_volume = np.bincount(
+        ra[~cross], weights=w[~cross], minlength=n_ranks
+    ).astype(np.float64)
+    src = np.concatenate([ra[cross], rb[cross]])
+    dst = np.concatenate([rb[cross], ra[cross]])
+    size = np.concatenate([w[cross], w[cross]])
+    local = src // cluster.ranks_per_node == dst // cluster.ranks_per_node
+    in_local = np.bincount(dst[local], minlength=n_ranks).astype(np.float64)
+    in_remote = np.bincount(dst[~local], minlength=n_ranks).astype(np.float64)
+    out_remote = np.bincount(src[~local], minlength=n_ranks).astype(np.float64)
+    uniq, max_size = _old_max_per_key(src * np.int64(n_ranks) + dst, size)
+    p_src, p_dst = uniq // n_ranks, uniq % n_ranks
+    p_local = p_src // cluster.ranks_per_node == p_dst // cluster.ranks_per_node
+    if cluster.node_nic_gbps is not None:
+        nic = cluster.rank_nic()
+        remote_bw = fabric.remote_pair_bandwidth(np.minimum(nic[p_src], nic[p_dst]))
+    else:
+        remote_bw = fabric.remote_bandwidth
+    lat = np.where(
+        p_local,
+        fabric.local_latency_s + max_size / fabric.local_bandwidth,
+        fabric.remote_latency_s + max_size / remote_bw,
+    )
+    if fabric.cross_switch_extra_s > 0:
+        far = np.asarray(cluster.switch_of(p_src)) != np.asarray(
+            cluster.switch_of(p_dst)
+        )
+        lat = lat + far * fabric.cross_switch_extra_s
+    return _CollapsedPattern(
+        n_ranks=n_ranks,
+        pair_src=p_src,
+        pair_dst=p_dst,
+        pair_local=p_local,
+        pair_latency=lat.astype(np.float64),
+        in_local=in_local,
+        in_remote=in_remote,
+        out_remote=out_remote,
+        loads=np.asarray(loads, dtype=np.float64),
+        intra_volume=intra_volume,
+        stats=message_stats(graph, assignment, cluster.ranks_per_node),
+    )
+
+
+#: per-rank arrays both layouts must agree on bit for bit
+_PER_RANK = ("in_local", "in_remote", "out_remote", "loads", "intra_volume")
+
+
+def _assert_matches_oracle(graph, assignment, costs, cluster, fabric, model_kw):
+    new = ExchangePattern.from_mesh(graph, assignment, costs, cluster, fabric)
+    old = _collapsed_from_mesh(graph, assignment, costs, cluster, fabric)
+    for name in _PER_RANK:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert new.stats == old.stats
+    m_new = BSPModel(cluster, fabric=fabric, **model_kw)
+    m_old = BSPModel(cluster, fabric=fabric, **model_kw)
+    for _ in range(3):
+        a, b = m_new.step(new), m_old.step(old)
+        for phase in ("compute", "comm", "sync"):
+            assert np.array_equal(getattr(a, phase), getattr(b, phase)), phase
+
+
+def _random_case(seed, classes=None):
+    """A random mesh, assignment and environment; ``seed`` picks the knobs."""
+    from repro.bench.commbench import random_refined_mesh
+    from repro.simnet import hetero_cluster
+
+    rng = np.random.default_rng(seed)
+    n_ranks = 64
+    nodes_per_switch = int(rng.integers(0, 3))
+    if classes is None:
+        cluster = Cluster(n_ranks=n_ranks, nodes_per_switch=nodes_per_switch)
+    else:
+        cluster = hetero_cluster(n_ranks, classes, nodes_per_switch=nodes_per_switch)
+    fabric = DEFAULT_FABRIC
+    if nodes_per_switch:
+        fabric = dataclasses.replace(fabric, cross_switch_extra_s=150e-6)
+    mesh = random_refined_mesh(n_ranks, float(rng.choice([1.0, 4.0])), rng)
+    costs = rng.lognormal(size=mesh.n_blocks)
+    if rng.random() < 0.5:
+        assignment = rng.integers(0, n_ranks, size=mesh.n_blocks)
+    else:
+        assignment = get_policy("baseline").place(costs, n_ranks).assignment
+    tuning = [TUNED, UNTUNED][seed % 2]
+    faults = FaultModel()
+    if rng.random() < 0.5:
+        tuning = dataclasses.replace(tuning, drain_queue=False)
+        faults = FaultModel(ack_loss_prob=0.2)
+    model_kw = dict(
+        tuning=tuning, faults=faults, seed=seed,
+        exchange_rounds=1 + seed % 3,
+    )
+    return mesh.neighbor_graph, assignment, costs, cluster, fabric, model_kw
+
+
 class TestPairCollapse:
-    """The run-start pair collapse is bit-identical to the original."""
+    """The one-pass edge layout is bit-identical to the sort-and-collapse
+    oracle: per-rank arrays, message stats and every BSP step."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_old_expression(self, seed):
-        from repro.simnet.runtime import _max_per_key
-
+        """Scattering every edge both ways equals scattering each directed
+        pair's largest message, on duplicate-heavy rank pairs."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 400))
-        span = int(rng.choice([1, 3, 50, 10_000]))  # 1 and 3: duplicate-heavy
-        key = rng.integers(0, span, size=n).astype(np.int64)
-        size = rng.choice([1.0, 4.0, 16.0], size=n) * rng.lognormal(size=n)
-        got, want = _max_per_key(key, size), _old_max_per_key(key, size)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        n_ranks = int(rng.choice([2, 3, 16, 64]))
+        m = int(rng.integers(0, 400))
+        a = rng.integers(0, n_ranks, size=m)
+        b = (a + rng.integers(1, n_ranks, size=m)) % n_ranks
+        size = rng.choice([1.0, 4.0, 16.0], size=m) * rng.lognormal(size=m)
+        base, bw = 2.5e-6, float(rng.choice([3.0e9, 7.0e9]))
+        dispatch = rng.uniform(0.0, 1e-3, size=n_ranks)
+        uniq, max_size = _old_max_per_key(
+            np.concatenate([a * n_ranks + b, b * n_ranks + a]),
+            np.concatenate([size, size]),
+        )
+        got = _arrivals_only(
+            ExchangePattern, n_ranks, a, b, base + size / bw
+        ).arrivals(dispatch)
+        want = _arrivals_only(
+            _CollapsedPattern, n_ranks, uniq // n_ranks, uniq % n_ranks,
+            base + max_size / bw,
+        ).arrivals(dispatch)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("classes", [None, "fast:0.5x1@200,slow:1.0x1@25"])
-    def test_from_mesh_matches_old_collapse(self, seed, classes, monkeypatch):
-        from repro.bench.commbench import random_refined_mesh
-        from repro.simnet import hetero_cluster
-        from repro.simnet import runtime
+    def test_from_mesh_matches_old_collapse(self, seed, classes):
+        _assert_matches_oracle(*_random_case(seed, classes))
 
-        rng = np.random.default_rng(seed)
-        mesh = random_refined_mesh(32, 4, rng)
-        cluster = Cluster(n_ranks=32) if classes is None else hetero_cluster(
-            32, classes
+    def test_random_cases_match_old_collapse(self):
+        """Tuned and untuned cascades, mixed NIC tiers, cross-switch hops,
+        ACK-loss faults and 1-3 exchange rounds over 28 more meshes."""
+        for seed in range(6, 34):
+            classes = None if seed % 4 else "fast:0.5x1@200,slow:1.0x1@25"
+            _assert_matches_oracle(*_random_case(seed, classes))
+
+
+class TestPatternStats:
+    """The message stats the pattern carries equal ``message_stats``."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equals_message_stats(self, data):
+        n_blocks = data.draw(st.integers(1, 24))
+        n_ranks = data.draw(st.integers(1, 8))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, n_blocks - 1), st.integers(0, n_blocks - 1))
+            .filter(lambda p: p[0] < p[1]),
+            max_size=40, unique=True,
+        ))
+        kinds = data.draw(st.lists(
+            st.sampled_from(list(NeighborKind)),
+            min_size=len(pairs), max_size=len(pairs),
+        ))
+        weights = {k: data.draw(extreme_floats) for k in NeighborKind}
+        assignment = np.asarray(data.draw(st.lists(
+            st.integers(0, n_ranks - 1), min_size=n_blocks, max_size=n_blocks,
+        )), dtype=np.int64)
+        rpn = data.draw(st.integers(1, n_ranks))
+        cluster = Cluster(
+            n_ranks=n_ranks,
+            machine=dataclasses.replace(DEFAULT_MACHINE, cores_per_node=rpn),
         )
-        costs = rng.lognormal(size=mesh.n_blocks)
-        assignment = rng.integers(0, 32, size=mesh.n_blocks)
-        new = ExchangePattern.from_mesh(
-            mesh.neighbor_graph, assignment, costs, cluster
+        graph = NeighborGraph(
+            [None] * n_blocks,
+            np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+            np.asarray(kinds, dtype=np.int8),
         )
-        monkeypatch.setattr(runtime, "_max_per_key", _old_max_per_key)
-        old = ExchangePattern.from_mesh(
-            mesh.neighbor_graph, assignment, costs, cluster
-        )
-        for field in dataclasses.fields(ExchangePattern):
-            a, b = getattr(new, field.name), getattr(old, field.name)
-            assert np.array_equal(a, b), field.name
+        with np.errstate(over="ignore"):
+            pattern = ExchangePattern.from_mesh(
+                graph, assignment, np.ones(n_blocks), cluster, weights=weights
+            )
+            want = message_stats(graph, assignment, rpn, weights=weights)
+        assert pattern.stats == want
+
+    def test_length_mismatch_raises(self, env):
+        mesh, cluster, costs, assignment, _ = env
+        with pytest.raises(ValueError, match="assignment covers"):
+            ExchangePattern.from_mesh(
+                mesh.neighbor_graph, assignment[:-1], costs[:-1], cluster
+            )
