@@ -12,16 +12,16 @@ distributions.  Reports:
 No mesh or network is needed — scalebench measures the placement
 algorithms themselves.
 
-Beyond the paper's 128K-rank ceiling the global block table itself
-becomes the bottleneck, so large cells run *sharded*: policy input
-(costs, SFC ids) is materialized one contiguous rank window at a time
-through a :class:`~repro.mesh.sharding.ShardedBlockTable` and each
-shard is placed independently — peak metadata memory scales with the
-shard size, not the global rank count.  Placement within a shard is
-exactly the global algorithm at shard scale (CPLX's chunked CDP already
-partitions by SFC windows, so sharding composes with, rather than
-changes, the policy).  A cell whose rank count fits comfortably in one
-allocation keeps the historical single-shot path — and its digests.
+Every cell places its ranks one contiguous window at a time: policy
+input (costs) is drawn per window, each window is placed independently
+and the makespan reduction is streamed, so peak metadata memory scales
+with the window, not the global rank count.  Beyond the paper's
+128K-rank ceiling this is what keeps a cell's block table bounded.
+Placement within a window is exactly the global algorithm at window
+scale (CPLX's chunked CDP already partitions by SFC windows, so
+windowing composes with, rather than changes, the policy).  A cell
+below :data:`AUTO_SHARD_MIN_RANKS` ranks is one window covering all its
+ranks, i.e. ``make_costs → place → normalized_makespan``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.metrics import normalized_makespan
 from ..core.policy import get_policy
 from ..perf.executor import parallel_map
 from ..perf.supervisor import (
@@ -67,12 +66,11 @@ AUTO_SHARD_RANKS = 4096
 class ScalebenchConfig:
     """Parameters of one scalebench sweep.
 
-    ``shard_ranks`` controls the sharded block-table path: ``0`` (the
+    ``shard_ranks`` sets the rank-window size of each cell: ``0`` (the
     default) shards cells of :data:`AUTO_SHARD_MIN_RANKS` ranks or more
-    into :data:`AUTO_SHARD_RANKS`-rank windows and leaves smaller cells
-    on the historical global path; a positive value forces that window
-    size for every cell.  A cell whose window covers all its ranks is
-    bit-identical to the global path.
+    into :data:`AUTO_SHARD_RANKS`-rank windows and places smaller cells
+    in one window; a positive value forces that window size for every
+    cell.
 
     ``node_classes`` (e.g. ``"fast:0.5x16,slow:1.0x48"``, see
     :func:`repro.simnet.cluster.parse_node_classes`) switches the sweep
@@ -97,6 +95,8 @@ class ScalebenchConfig:
         unknown = set(self.distributions) - set(COST_DISTRIBUTIONS)
         if unknown:
             raise ValueError(f"unknown distributions: {sorted(unknown)}")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
         if self.shard_ranks < 0:
             raise ValueError("shard_ranks must be >= 0 (0 = auto)")
         if self.node_classes is not None:
@@ -104,13 +104,13 @@ class ScalebenchConfig:
 
             parse_node_classes(self.node_classes)  # fail fast on bad specs
 
-    def effective_shard_ranks(self, n_ranks: int) -> Optional[int]:
-        """Rank-window size for one cell, or ``None`` for the global path."""
+    def effective_shard_ranks(self, n_ranks: int) -> int:
+        """Rank-window size for one cell (``n_ranks`` for one window)."""
         if self.shard_ranks > 0:
             return min(self.shard_ranks, n_ranks)
         if n_ranks >= AUTO_SHARD_MIN_RANKS:
             return min(AUTO_SHARD_RANKS, n_ranks)
-        return None
+        return n_ranks
 
 
 @dataclasses.dataclass
@@ -139,8 +139,8 @@ class _ScalebenchCell:
 
 
 def _shard_seed(base_seed: int, shard: int) -> int:
-    """Per-shard cost-stream seed; shard 0 reuses the global seed so a
-    one-shard cell draws exactly the global cost array."""
+    """Per-window cost-stream seed; window 0 reuses the cell's seed so a
+    one-window cell draws exactly ``make_costs(dist, n_blocks, seed)``."""
     return base_seed + 104729 * shard
 
 
@@ -154,7 +154,7 @@ def _cell_context(cell: "_ScalebenchCell"):
 
 
 def _slice_ctx(ctx, lo: int, hi: int):
-    """Rank-window slice of a context (sharded path)."""
+    """Rank-window slice of a context."""
     if ctx is None:
         return None
     return dataclasses.replace(
@@ -167,64 +167,47 @@ def _slice_ctx(ctx, lo: int, hi: int):
 def _place_sharded(
     policy, cell: "_ScalebenchCell", base_seed: int, shard_ranks: int, ctx=None
 ) -> Tuple[float, float, int]:
-    """One repeat of one cell through the sharded block-table path.
+    """One repeat of one cell, placed one rank window at a time.
 
-    Materializes policy input one rank window at a time via
-    :class:`~repro.mesh.sharding.ShardedBlockTable` and streams the
-    makespan reduction, so peak metadata memory is O(shard blocks).
-    Returns ``(normalized makespan, placement seconds, peak shard
-    bytes)``; with one shard the result is bit-identical to the global
-    path.
+    Each window draws its own costs, is placed on its own ranks, and
+    feeds a streamed makespan reduction, so peak metadata memory is
+    O(window blocks).  Returns ``(normalized makespan, placement
+    seconds, peak window bytes)``, the largest ``nbytes`` of one
+    window's cost and assignment arrays.
     """
-    from ..mesh.sharding import ShardedBlockTable
-
-    config = cell.config
     n_ranks = cell.n_ranks
     rank_bounds = list(range(0, n_ranks, shard_ranks)) + [n_ranks]
-    block_bounds = [int(r * config.blocks_per_rank) for r in rank_bounds]
-    table = ShardedBlockTable(
-        block_bounds[-1],
-        bounds=block_bounds,
-        columns={
-            "cost": lambda s, lo, hi: make_costs(
-                cell.distribution, hi - lo, seed=_shard_seed(base_seed, s)
-            ),
-            "sfc_id": lambda s, lo, hi: np.arange(lo, hi, dtype=np.int64),
-        },
-    )
+    block_bounds = [int(r * cell.config.blocks_per_rank) for r in rank_bounds]
     max_load = 0.0
     total = 0.0
     elapsed = 0.0
-    for s in range(table.n_shards):
-        cols = table.materialize(s)
-        costs = cols["cost"]
+    peak_bytes = 0
+    for s in range(len(rank_bounds) - 1):
         lo, hi = rank_bounds[s], rank_bounds[s + 1]
-        ranks_s = hi - lo
+        n_blocks = block_bounds[s + 1] - block_bounds[s]
+        costs = make_costs(
+            cell.distribution, n_blocks, seed=_shard_seed(base_seed, s)
+        )
         sub_ctx = _slice_ctx(ctx, lo, hi)
+        result = policy.place(costs, hi - lo, ctx=sub_ctx)
+        peak_bytes = max(peak_bytes, costs.nbytes + result.assignment.nbytes)
+        loads = np.bincount(
+            result.assignment, weights=costs, minlength=hi - lo
+        ).astype(np.float64)
         if sub_ctx is not None:
-            result = policy.place(costs, ranks_s, ctx=sub_ctx)
-            loads = np.bincount(
-                result.assignment, weights=costs, minlength=ranks_s
-            ).astype(np.float64)
-            # completion times: raw shard loads over the window's speeds
+            # completion times: raw window loads over the window's speeds
             loads = loads / sub_ctx.rank_speed
-        else:
-            result = policy.place(costs, ranks_s)
-            loads = np.bincount(
-                result.assignment, weights=costs, minlength=ranks_s
-            ).astype(np.float64)
-        max_load = max(max_load, float(loads.max()) if ranks_s else 0.0)
+        max_load = max(max_load, float(loads.max()) if hi > lo else 0.0)
         total += float(costs.sum())
         elapsed += result.elapsed_s
     denom = n_ranks if ctx is None else ctx.total_capacity()
     norm = max_load / (total / denom) if total > 0 else 1.0
-    return norm, elapsed, table.peak_shard_bytes
+    return norm, elapsed, peak_bytes
 
 
 def _run_scalebench_cell(cell: _ScalebenchCell) -> ScalebenchRow:
     """Execute one cell; the cost seed is derived from the cell alone."""
     config = cell.config
-    n_blocks = int(cell.n_ranks * config.blocks_per_rank)
     ctx = _cell_context(cell)
     policy = get_policy(
         f"cplx:{cell.x}" if ctx is None else f"hetero-cplx:{cell.x}"
@@ -234,27 +217,11 @@ def _run_scalebench_cell(cell: _ScalebenchCell) -> ScalebenchRow:
     ts = []
     for rep in range(config.repeats):
         base_seed = config.seed + 7919 * rep + cell.n_ranks
-        if shard_ranks is None:
-            costs = make_costs(cell.distribution, n_blocks, seed=base_seed)
-            if ctx is None:
-                result = policy.place(costs, cell.n_ranks)
-                ms.append(
-                    normalized_makespan(costs, result.assignment, cell.n_ranks)
-                )
-            else:
-                result = policy.place(costs, cell.n_ranks, ctx=ctx)
-                ms.append(
-                    normalized_makespan(
-                        costs, result.assignment, cell.n_ranks, ctx=ctx
-                    )
-                )
-            ts.append(result.elapsed_s)
-        else:
-            norm, elapsed, _peak = _place_sharded(
-                policy, cell, base_seed, shard_ranks, ctx=ctx
-            )
-            ms.append(norm)
-            ts.append(elapsed)
+        norm, elapsed, _peak = _place_sharded(
+            policy, cell, base_seed, shard_ranks, ctx=ctx
+        )
+        ms.append(norm)
+        ts.append(elapsed)
     return ScalebenchRow(
         n_ranks=cell.n_ranks,
         distribution=cell.distribution,

@@ -79,6 +79,10 @@ class SedovSweepConfig:
     #: keeps the historical homogeneous sweep bit for bit
     node_classes: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+
     def sweep_cluster(self, n_ranks: int) -> Cluster:
         """The cluster a cell at ``n_ranks`` runs on."""
         if self.node_classes is None:

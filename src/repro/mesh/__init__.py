@@ -6,7 +6,7 @@ Z-order SFC block IDs via depth-first traversal, cross-level
 face/edge/vertex neighbor discovery, and 2:1-balanced refinement.
 """
 
-from .fast_neighbors import build_neighbor_graph_auto, build_neighbor_graph_fast
+from .fast_neighbors import build_neighbor_graph_fast
 from .geometry import BlockIndex, RootGrid, block_bounds, child_offsets
 from .hilbert import hilbert_encode, hilbert_key, hilbert_sort_blocks
 from .keys import block_keys, pack_keys, unpack_keys
@@ -15,14 +15,12 @@ from .neighbors import NeighborGraph, NeighborKind, build_neighbor_graph, find_n
 from .octree import OctreeForest
 from .refinement import (
     RefinementTags,
-    RemeshDelta,
     apply_tags,
     enforce_two_one_balance,
     is_two_one_balanced,
     tag_by_predicate,
 )
 from .sfc import contiguous_ranges, morton_decode, morton_encode, morton_key, sfc_sort_blocks
-from .sharding import ShardedBlockTable
 
 __all__ = [
     "AmrMesh",
@@ -31,14 +29,11 @@ __all__ = [
     "NeighborKind",
     "OctreeForest",
     "RefinementTags",
-    "RemeshDelta",
     "RootGrid",
-    "ShardedBlockTable",
     "apply_tags",
     "block_bounds",
     "block_keys",
     "build_neighbor_graph",
-    "build_neighbor_graph_auto",
     "build_neighbor_graph_fast",
     "child_offsets",
     "contiguous_ranges",

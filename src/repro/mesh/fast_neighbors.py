@@ -12,8 +12,8 @@ neighbor of a level-``L`` leaf lives at level ``L-1``, ``L``, or
 ``L+1``, so membership tests reduce to three sorted-array searches per
 (level, direction) batch instead of per-block tree walks.  Forests that
 violate the invariant are detected (an in-domain probe resolving at no
-candidate level) and rejected, so callers can fall back to the
-reference builder.  Equivalence against the reference is property-tested.
+candidate level) and rejected.  Equivalence against the reference is
+property-tested.
 """
 
 from __future__ import annotations
@@ -23,15 +23,21 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .geometry import RootGrid
-from .neighbors import NeighborGraph, _directions, build_neighbor_graph
+from .neighbors import NeighborGraph, _directions
 from .octree import OctreeForest
 from .sfc import morton_encode
 
-__all__ = ["build_neighbor_graph_fast", "build_neighbor_graph_auto"]
+__all__ = ["UnbalancedForestError", "build_neighbor_graph_fast"]
 
 
 class UnbalancedForestError(ValueError):
-    """The forest is not 2:1 balanced; use the reference builder."""
+    """The forest is not 2:1 balanced.
+
+    :func:`~repro.mesh.refinement.apply_tags` never produces such a
+    forest, so this means it was refined behind the mesh's back; the
+    reference :func:`~repro.mesh.neighbors.build_neighbor_graph` still
+    handles it.
+    """
 
 
 def _wrap_coords(
@@ -189,16 +195,3 @@ def build_neighbor_graph_fast(forest: OctreeForest) -> NeighborGraph:
     uniq_kind = kinds_s[first]
     edges = np.stack([uniq_key // n, uniq_key % n], axis=1).astype(np.int64)
     return NeighborGraph(blocks, edges, uniq_kind.astype(np.int8))
-
-
-def build_neighbor_graph_auto(forest: OctreeForest) -> NeighborGraph:
-    """Fast builder with automatic fallback to the reference.
-
-    Production meshes are 2:1 balanced and take the vectorized path;
-    hand-built unbalanced forests (tests, experiments) transparently use
-    the per-block reference implementation.
-    """
-    try:
-        return build_neighbor_graph_fast(forest)
-    except UnbalancedForestError:
-        return build_neighbor_graph(forest)

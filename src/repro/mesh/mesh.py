@@ -14,11 +14,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .geometry import BlockIndex, RootGrid
-from .fast_neighbors import build_neighbor_graph_auto
+from .fast_neighbors import build_neighbor_graph_fast
 from .keys import pack_keys
 from .neighbors import NeighborGraph
 from .octree import OctreeForest
-from .refinement import RefinementTags, RemeshDelta, apply_tags
+from .refinement import RefinementTags, apply_tags, tag_by_predicate
 
 __all__ = ["AmrMesh"]
 
@@ -91,11 +91,12 @@ class AmrMesh:
     def neighbor_graph(self) -> NeighborGraph:
         """Neighbor graph over SFC-ordered blocks; cached.
 
-        Uses the vectorized builder (2:1-balanced fast path) with
-        automatic fallback to the reference implementation.
+        Built by the vectorized builder: :meth:`remesh` keeps the forest
+        2:1 balanced, so a forest unbalanced behind the mesh's back
+        raises :class:`~repro.mesh.fast_neighbors.UnbalancedForestError`.
         """
         if self._graph is None:
-            self._graph = build_neighbor_graph_auto(self.forest)
+            self._graph = build_neighbor_graph_fast(self.forest)
         return self._graph
 
     def block_id(self, idx: BlockIndex) -> int:
@@ -159,27 +160,24 @@ class AmrMesh:
         self._id_of = None
         self.generation += 1
 
-    def remesh(self, tags: RefinementTags) -> RemeshDelta:
-        """Apply refinement tags (2:1-balanced); returns the remesh delta.
+    def remesh(self, tags: RefinementTags) -> Tuple[int, int]:
+        """Apply refinement tags (2:1-balanced); returns
+        ``(n_refined, n_coarsened)``.
 
-        The returned :class:`RemeshDelta` still unpacks as the historical
-        ``(n_refined, n_coarsened)`` tuple.  A remesh that changes the
-        forest drops every cached derived structure; the next access
-        rebuilds it (the neighbor graph through the vectorized builder).
+        A remesh that changes the forest drops every cached derived
+        structure; the next access rebuilds it.
         """
-        delta = apply_tags(self.forest, tags)
-        if delta.changed:
+        n_ref, n_coarse = apply_tags(self.forest, tags)
+        if n_ref or n_coarse:
             self._invalidate()
-        return delta
+        return n_ref, n_coarse
 
     def remesh_by_predicate(
         self,
         should_refine: Callable[[BlockIndex], bool],
         should_coarsen: Callable[[BlockIndex], bool] | None = None,
-    ) -> RemeshDelta:
+    ) -> Tuple[int, int]:
         """Tag by predicates and remesh in one step."""
-        from .refinement import tag_by_predicate
-
         return self.remesh(tag_by_predicate(self.forest, should_refine, should_coarsen))
 
     def copy(self) -> "AmrMesh":

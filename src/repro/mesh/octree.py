@@ -61,26 +61,6 @@ class OctreeForest:
         """Iterate leaves in arbitrary (hash) order."""
         return iter(self._leaves)
 
-    def leaf_level(self, idx: BlockIndex) -> int | None:
-        """Level of the leaf covering the region of ``idx``, or None.
-
-        ``idx`` may be at any level; the method walks up to find a leaf
-        ancestor, or reports a finer covering if ``idx`` is an internal
-        node.  Returns the leaf's level, or ``None`` if the region is
-        outside the domain.
-        """
-        if not self.root.contains(idx):
-            return None
-        probe = idx
-        while True:
-            if probe in self._leaves:
-                return probe.level
-            if probe.level == 0:
-                break
-            probe = probe.parent()
-        # idx covers an internal node: leaves are finer than idx.
-        return None
-
     def find_covering_leaf(self, idx: BlockIndex) -> BlockIndex | None:
         """Return the leaf equal to or an ancestor of ``idx``, if any."""
         if not self.root.contains(idx):

@@ -7,17 +7,12 @@ balance* invariant — adjacent leaves differing by more than one
 refinement level — which block-based codes require so each face abuts at
 most ``2^(dim-1)` neighbors.  This module converts tags into a legal
 sequence of refine/coarsen operations.
-
-:func:`apply_tags` reports what it did as a :class:`RemeshDelta` — the
-refined leaves and the merged parents — which still unpacks as the
-historical ``(n_refined, n_coarsened)`` tuple.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from .geometry import BlockIndex
 from .neighbors import find_neighbors
@@ -25,7 +20,6 @@ from .octree import OctreeForest
 
 __all__ = [
     "RefinementTags",
-    "RemeshDelta",
     "enforce_two_one_balance",
     "apply_tags",
     "is_two_one_balanced",
@@ -50,68 +44,6 @@ class RefinementTags:
             raise ValueError(f"blocks tagged both refine and coarsen: {overlap}")
 
 
-@dataclasses.dataclass(frozen=True)
-class RemeshDelta:
-    """Structured description of one :func:`apply_tags` application.
-
-    Attributes
-    ----------
-    refined:
-        Pre-op leaves that were split into their children, in the order
-        they were refined (sorted by ``(level, coords)``).
-    coarsened:
-        Parents whose sibling sets were merged, in merge order.
-
-    The delta iterates as ``(n_refined, n_coarsened)`` so historical
-    tuple-unpacking call sites keep working.
-    """
-
-    refined: Tuple[BlockIndex, ...]
-    coarsened: Tuple[BlockIndex, ...]
-
-    @property
-    def n_refined(self) -> int:
-        return len(self.refined)
-
-    @property
-    def n_coarsened(self) -> int:
-        return len(self.coarsened)
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.refined or self.coarsened)
-
-    def removed_blocks(self) -> List[BlockIndex]:
-        """Pre-op leaves that no longer exist (refined leaves + merged
-        children)."""
-        out = list(self.refined)
-        for p in self.coarsened:
-            out.extend(p.children())
-        return out
-
-    def added_blocks(self) -> List[BlockIndex]:
-        """Post-op leaves that did not exist before (children of refined
-        leaves + merged parents)."""
-        out: List[BlockIndex] = []
-        for b in self.refined:
-            out.extend(b.children())
-        out.extend(self.coarsened)
-        return out
-
-    @property
-    def touched(self) -> int:
-        """Removed + added leaf count of the remesh."""
-        full_r = 1 << (len(self.refined[0].coords) if self.refined else 0)
-        full_c = 1 << (len(self.coarsened[0].coords) if self.coarsened else 0)
-        return len(self.refined) * (1 + full_r) + len(self.coarsened) * (1 + full_c)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.n_refined, self.n_coarsened))
-
-    def __bool__(self) -> bool:
-        return self.changed
-
-
 def is_two_one_balanced(forest: OctreeForest) -> bool:
     """Whether every neighbor pair differs by at most one level."""
     for b in forest.leaves():
@@ -119,18 +51,6 @@ def is_two_one_balanced(forest: OctreeForest) -> bool:
             if abs(nb.level - b.level) > 1:
                 return False
     return True
-
-
-def _neighbor_probes(forest: OctreeForest, block: BlockIndex) -> Iterable[BlockIndex]:
-    """Same-level neighbor indices of ``block`` (domain-clipped/wrapped)."""
-    root = forest.root
-    for d in itertools.product((-1, 0, 1), repeat=forest.dim):
-        if not any(d):
-            continue
-        raw = tuple(c + dk for c, dk in zip(block.coords, d))
-        wrapped = root.wrap(block.level, raw)
-        if wrapped is not None:
-            yield BlockIndex(block.level, wrapped)
 
 
 def enforce_two_one_balance(
@@ -206,14 +126,12 @@ def _coarsen_is_safe(
     return True
 
 
-def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
-    """Apply tags to the forest in place; returns a :class:`RemeshDelta`.
+def apply_tags(forest: OctreeForest, tags: RefinementTags) -> Tuple[int, int]:
+    """Apply tags to the forest in place; returns ``(n_refined, n_coarsened)``.
 
     Refinement wins over coarsening: the refine set is first closed under
     2:1 balance, then coarsening is applied only to full sibling sets
     whose merge does not violate balance against the post-refinement mesh.
-
-    The returned delta still unpacks as ``(n_refined, n_coarsened)``.
     """
     refine = enforce_two_one_balance(forest, set(tags.refine))
 
@@ -241,7 +159,7 @@ def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
         forest.refine(b)
     for p in coarsened:
         forest.coarsen(p.children()[0])
-    return RemeshDelta(refined=tuple(refined), coarsened=tuple(coarsened))
+    return len(refined), len(coarsened)
 
 
 def tag_by_predicate(

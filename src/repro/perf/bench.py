@@ -7,9 +7,9 @@ Times the hot paths the repo's performance claims rest on —
 * **mesh ops**: SFC block sort and neighbor-graph construction on a
   randomly refined octree, the production (vectorized) builder vs the
   per-block reference builder measured in the same run;
-* **scalebench metadata**: one sharded placement pass at beyond-paper
-  rank counts (128K+), timing per-shard cost/SFC materialization and
-  the streamed makespan reduction;
+* **scalebench metadata**: one windowed placement pass at beyond-paper
+  rank counts (128K+), timing per-window cost draws and the streamed
+  makespan reduction;
 * **epoch loop**: the end-to-end :class:`~repro.engine.EpochEngine`
   over a reduced Sedov trajectory, with the epoch-pipeline cache off
   and on (the cached-vs-uncached headline);
@@ -74,7 +74,7 @@ PROFILES: Dict[str, Dict] = {
         "epoch_repeats": 2,
         "scalebench": {"ranks": 131072, "shard_ranks": 4096, "repeats": 1},
         "sweep": None,
-        "executor": {"cells": 8, "jobs": 2, "repeats": 5, "work": 48},
+        "executor": {"cells": 8, "jobs": 2, "repeats": 25, "work": 48},
         "telemetry": {"partitions": 12, "rows_per_partition": 4_000, "repeats": 3},
         "service": {
             "steps": 30, "policies": ("baseline",), "repeats": 2,
@@ -247,7 +247,7 @@ def _bench_mesh(
     params: Dict, metrics: Dict, derived: Dict, log: Callable[[str], None]
 ) -> None:
     from ..bench.commbench import random_refined_mesh
-    from ..mesh.fast_neighbors import build_neighbor_graph_auto
+    from ..mesh.fast_neighbors import build_neighbor_graph_fast
     from ..mesh.neighbors import build_neighbor_graph
     from ..mesh.sfc import sfc_sort_blocks
 
@@ -266,11 +266,11 @@ def _bench_mesh(
     log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
     # Production builder vs the per-block reference builder (the test
-    # oracle and the unbalanced-forest fallback), timed in the same run
-    # so the ratio does not depend on the host.
+    # oracle), timed in the same run so the ratio does not depend on the
+    # host.
     prod = f"mesh.neighbor_graph.n{n}"
     metrics[prod] = _time_case(
-        lambda: build_neighbor_graph_auto(mesh.forest), params["mesh_repeats"]
+        lambda: build_neighbor_graph_fast(mesh.forest), params["mesh_repeats"]
     )
     ref = f"mesh.neighbor_graph_reference.n{n}"
     metrics[ref] = _time_case(
@@ -289,12 +289,12 @@ def _bench_mesh(
 def _bench_scalebench(
     params: Dict, metrics: Dict, derived: Dict, log: Callable[[str], None]
 ) -> None:
-    """Sharded scalebench metadata path at beyond-paper rank counts.
+    """Windowed scalebench placement at beyond-paper rank counts.
 
     Times one :func:`~repro.bench.scalebench._place_sharded` pass —
-    cost/SFC materialization, placement, and the streamed makespan
-    reduction over every shard — and reports the peak per-shard metadata
-    footprint as a fraction of the global table it replaces.
+    per-window cost draws, placement, and the streamed makespan
+    reduction over every rank window — and reports the peak per-window
+    metadata footprint as a fraction of the global table it replaces.
     """
     from ..bench.scalebench import ScalebenchConfig, _ScalebenchCell, _place_sharded
     from ..core.policy import get_policy
@@ -320,8 +320,8 @@ def _bench_scalebench(
 
     metric = f"scalebench.metadata.r{sb['ranks'] // 1024}k"
     metrics[metric] = _time_case(run, sb["repeats"])
-    # cost (float64) + sfc_id (int64) per block, as the global table
-    # would materialize them in one shot.
+    # cost (float64) + assignment (int64) per block, as one global
+    # window would materialize them in one shot.
     global_bytes = int(cell.n_ranks * config.blocks_per_rank) * 16
     derived["scalebench.shard_mem_frac"] = peak["bytes"] / global_bytes
     log(
@@ -408,14 +408,18 @@ def _overhead_cell(args) -> float:
     """A deterministic tens-of-ms numpy cell for the executor benchmark.
 
     Top level so it pickles into worker processes; the seed is the cell
-    index, so supervised and bare runs compute identical values.
+    index, so supervised and bare runs compute identical values.  The
+    work is sorting, which runs on one thread: a BLAS kernel here would
+    start its own thread pool in every worker and oversubscribe the
+    cores, and the resulting multi-x swings would drown the overhead
+    being measured.
     """
     index, work = args
     rng = np.random.default_rng(1000 + index)
     acc = 0.0
     for _ in range(work):
-        m = rng.random((160, 160))
-        acc += float(np.linalg.eigvalsh(m @ m.T)[-1])
+        v = np.sort(rng.random(100_000))
+        acc += float(v[len(v) // 2])
     return acc
 
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import os
-import queue
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
@@ -295,17 +294,19 @@ def _maybe_inject_chaos(cell: int, attempt: int) -> None:
 _OK, _ERR = 0, 1
 
 
-def _worker_main(fn, task_q, conn) -> None:
+def _worker_main(fn, tasks, conn) -> None:
     """Worker loop: one task at a time, result or error back on the pipe.
 
-    Results travel over a pipe *private to this worker* rather than a
-    shared queue.  A shared ``mp.Queue`` hides a non-robust semaphore:
-    a worker SIGKILLed in the window where its feeder thread has
-    written the payload but not yet released the queue's write-lock
+    Tasks arrive and results leave on pipes *private to this worker*
+    rather than shared queues.  A shared ``mp.Queue`` hides a non-robust
+    semaphore: a worker SIGKILLed in the window where its feeder thread
+    has written the payload but not yet released the queue's write-lock
     leaves that lock held forever, deadlocking every surviving writer.
-    With one pipe per worker there is no cross-process lock at all, and
-    a dead worker can corrupt only its own (discarded) channel — the
-    supervisor even reads the EOF as an immediate death signal.
+    With one pipe per direction per worker there is no cross-process
+    lock at all, and a dead worker can corrupt only its own (discarded)
+    channels — the supervisor even reads the EOF as an immediate death
+    signal.  The supervisor writes the task pipe synchronously, so a
+    dispatch costs no feeder-thread hand-off.
 
     SIGINT is ignored so a terminal Ctrl-C reaches only the supervisor,
     which then owns the shutdown (and the journal cleanup).  The loop
@@ -318,11 +319,11 @@ def _worker_main(fn, task_q, conn) -> None:
     parent = os.getppid()
     while True:
         try:
-            msg = task_q.get(timeout=1.0)
-        except queue.Empty:
-            if os.getppid() != parent:
-                return                 # supervisor died; don't orphan
-            continue
+            if not tasks.poll(1.0):
+                if os.getppid() != parent:
+                    return             # supervisor died; don't orphan
+                continue
+            msg = tasks.recv()
         except (EOFError, OSError):
             return
         if msg is None:
@@ -343,20 +344,21 @@ def _worker_main(fn, task_q, conn) -> None:
 
 
 class _Worker:
-    """One supervised worker process, its private task queue, and its
-    private result pipe (see :func:`_worker_main` for why the result
-    channel must not be shared)."""
+    """One supervised worker process and its private task and result
+    pipes (see :func:`_worker_main` for why the channels must not be
+    shared)."""
 
     def __init__(self, ctx, fn) -> None:
-        self.task_q = ctx.Queue()
+        task_recv, self.tasks = ctx.Pipe(duplex=False)
         self.conn, send_conn = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
-            target=_worker_main, args=(fn, self.task_q, send_conn),
+            target=_worker_main, args=(fn, task_recv, send_conn),
             daemon=True,
         )
         self.proc.start()
-        # Drop the parent's copy of the send end so the worker's death
-        # surfaces as EOF on ``self.conn``.
+        # Drop the parent's copies of the worker's ends so the worker's
+        # death surfaces as EOF on ``self.conn``.
+        task_recv.close()
         send_conn.close()
         self.cell: Optional[int] = None
         self.attempt: int = 0
@@ -371,7 +373,12 @@ class _Worker:
         self.deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
-        self.task_q.put((index, attempt, item))
+        try:
+            self.tasks.send((index, attempt, item))
+        except OSError:
+            # The worker died since the liveness check; the next
+            # liveness pass records the crash against this attempt.
+            pass
 
     def release(self) -> None:
         self.cell, self.attempt, self.deadline = None, 0, None
@@ -380,17 +387,16 @@ class _Worker:
         if self.proc.is_alive():
             self.proc.kill()
         self.proc.join(timeout=5.0)
-        self.task_q.cancel_join_thread()
-        self.task_q.close()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        for conn in (self.tasks, self.conn):
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     def stop(self) -> None:
         """Graceful shutdown: sentinel, short join, then kill."""
         try:
-            self.task_q.put(None)
+            self.tasks.send(None)
         except Exception:
             pass
         self.proc.join(timeout=1.0)

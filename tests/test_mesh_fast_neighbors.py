@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.mesh import AmrMesh, RefinementTags, RootGrid, is_two_one_balanced
 from repro.mesh.fast_neighbors import (
     UnbalancedForestError,
-    build_neighbor_graph_auto,
     build_neighbor_graph_fast,
 )
 from repro.mesh.neighbors import build_neighbor_graph
@@ -91,8 +90,12 @@ class TestUnbalancedHandling:
         with pytest.raises(UnbalancedForestError):
             build_neighbor_graph_fast(self.unbalanced_forest())
 
-    def test_auto_falls_back(self):
-        f = self.unbalanced_forest()
-        auto = build_neighbor_graph_auto(f)
-        ref = build_neighbor_graph(f)
-        assert graphs_equal(auto, ref)
+    def test_mesh_graph_rejects_unbalanced(self):
+        mesh = AmrMesh(RootGrid((2, 2)), max_level=3)
+        # Unbalance the forest behind the mesh's back: remesh never
+        # produces this, so the mesh raises instead of falling back.
+        mesh.forest = self.unbalanced_forest()
+        with pytest.raises(UnbalancedForestError):
+            _ = mesh.neighbor_graph
+        # The reference builder still handles it.
+        assert build_neighbor_graph(mesh.forest).n_blocks == mesh.n_blocks

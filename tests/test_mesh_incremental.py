@@ -1,4 +1,4 @@
-"""Remesh metadata: deltas, cache parity, balance closure, sharded tables.
+"""Remesh metadata: counts, cache parity, balance closure, windowed scalebench.
 
 The acceptance bar for the cached metadata is *element identity*: after
 any legal tag sequence, the mesh's neighbor graph must equal a
@@ -15,9 +15,7 @@ from repro.mesh import (
     AmrMesh,
     BlockIndex,
     RefinementTags,
-    RemeshDelta,
     RootGrid,
-    ShardedBlockTable,
     block_keys,
     build_neighbor_graph,
     is_two_one_balanced,
@@ -74,7 +72,7 @@ def random_tags(mesh: AmrMesh, rng, p_refine=0.25, p_coarsen=0.25) -> Refinement
 
 
 # ---------------------------------------------------------------------- #
-# RemeshDelta
+# remesh counts
 # ---------------------------------------------------------------------- #
 
 
@@ -82,23 +80,11 @@ class TestRemeshDelta:
     def test_unpacks_as_historical_tuple(self):
         mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
         target = mesh.blocks[0]
-        n_ref, n_coars = mesh.remesh(RefinementTags(refine={target}))
-        assert (n_ref, n_coars) == (1, 0)
-
-    def test_bool_and_counts(self):
-        empty = RemeshDelta(refined=(), coarsened=())
-        assert not empty and not empty.changed
-        one = RemeshDelta(refined=(BlockIndex(0, (0, 0)),), coarsened=())
-        assert one and one.n_refined == 1 and one.n_coarsened == 0
-
-    def test_removed_added_touched(self):
-        b = BlockIndex(1, (0, 0))
-        p = BlockIndex(0, (1, 0))
-        d = RemeshDelta(refined=(b,), coarsened=(p,))
-        assert d.removed_blocks() == [b, *p.children()]
-        assert d.added_blocks() == [*b.children(), p]
-        # 2D: each event removes/adds 1 + 4 leaves
-        assert d.touched == 2 * (1 + 4)
+        counts = mesh.remesh(RefinementTags(refine={target}))
+        assert counts == (1, 0) and type(counts) is tuple
+        # Coarsening the four children back merges one parent.
+        assert mesh.remesh(RefinementTags(coarsen=set(target.children()))) == (0, 1)
+        assert mesh.remesh_by_predicate(lambda b: b == target) == (1, 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -174,8 +160,7 @@ class TestFallback:
     def test_noop_remesh_preserves_graph_object(self):
         mesh = warmed_mesh((2, 2), (False, False))
         graph = mesh.neighbor_graph
-        delta = mesh.remesh(RefinementTags())
-        assert not delta.changed
+        assert mesh.remesh(RefinementTags()) == (0, 0)
         assert mesh.neighbor_graph is graph
 
 
@@ -249,85 +234,6 @@ class TestBalanceCascade:
 
 
 # ---------------------------------------------------------------------- #
-# ShardedBlockTable
-# ---------------------------------------------------------------------- #
-
-
-class TestShardedBlockTable:
-    def test_bounds_from_shard_blocks(self):
-        t = ShardedBlockTable(10, shard_blocks=4)
-        assert t.n_shards == 3
-        assert t.shard_sizes() == [4, 4, 2]
-        assert t.shard_bounds(2) == (8, 10)
-        with pytest.raises(IndexError):
-            t.shard_bounds(3)
-
-    def test_explicit_bounds_validation(self):
-        ShardedBlockTable(6, bounds=[0, 2, 6])
-        with pytest.raises(ValueError):
-            ShardedBlockTable(6, bounds=[1, 6])
-        with pytest.raises(ValueError):
-            ShardedBlockTable(6, bounds=[0, 4, 2, 6])
-        with pytest.raises(ValueError):
-            ShardedBlockTable(6, shard_blocks=2, bounds=[0, 6])
-        with pytest.raises(ValueError):
-            ShardedBlockTable(6)
-        with pytest.raises(ValueError):
-            ShardedBlockTable(6, shard_blocks=0)
-
-    def test_zero_blocks(self):
-        t = ShardedBlockTable(0, shard_blocks=8)
-        assert t.n_shards == 1 and t.shard_bounds(0) == (0, 0)
-
-    def test_column_length_enforced(self):
-        t = ShardedBlockTable(
-            8, shard_blocks=4,
-            columns={"bad": lambda s, lo, hi: np.zeros(hi - lo + 1)},
-        )
-        with pytest.raises(ValueError):
-            t.column(0, "bad")
-
-    def test_memory_accounting(self):
-        t = ShardedBlockTable(
-            12, shard_blocks=4,
-            columns={
-                "a": lambda s, lo, hi: np.arange(lo, hi, dtype=np.int64),
-                "b": lambda s, lo, hi: np.ones(hi - lo, dtype=np.float64),
-            },
-        )
-        for s in range(t.n_shards):
-            cols = t.materialize(s)
-            assert np.array_equal(cols["a"], np.arange(*t.shard_bounds(s)))
-        # peak = one shard's working set; total = every byte produced
-        assert t.peak_shard_bytes == 4 * 16
-        assert t.total_bytes == 12 * 16
-
-    def test_from_graph_edge_rows_cover_graph(self):
-        mesh = warmed_mesh((2, 2), (True, True))
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-        graph = mesh.neighbor_graph
-        table = ShardedBlockTable.from_graph(graph, shard_blocks=3)
-        seen_edges, seen_kinds = [], []
-        for s in range(table.n_shards):
-            lo, hi = table.shard_bounds(s)
-            edges, kinds = table.edge_rows(s)
-            assert np.all((edges[:, 0] >= lo) & (edges[:, 0] < hi))
-            assert np.array_equal(
-                table.column(s, "level"),
-                np.asarray([b.level for b in graph.blocks[lo:hi]]),
-            )
-            seen_edges.append(edges)
-            seen_kinds.append(kinds)
-        assert np.array_equal(np.concatenate(seen_edges), graph.edges)
-        assert np.array_equal(np.concatenate(seen_kinds), graph.kinds)
-
-    def test_edge_rows_requires_graph(self):
-        t = ShardedBlockTable(4, shard_blocks=2)
-        with pytest.raises(ValueError):
-            t.edge_rows(0)
-
-
-# ---------------------------------------------------------------------- #
 # sharded scalebench
 # ---------------------------------------------------------------------- #
 
@@ -341,8 +247,12 @@ class TestShardedScalebench:
         )
 
         auto = ScalebenchConfig()
-        assert auto.effective_shard_ranks(512) is None
-        assert auto.effective_shard_ranks(AUTO_SHARD_MIN_RANKS - 1) is None
+        # Below the threshold a cell is one window covering all its ranks.
+        assert auto.effective_shard_ranks(512) == 512
+        assert (
+            auto.effective_shard_ranks(AUTO_SHARD_MIN_RANKS - 1)
+            == AUTO_SHARD_MIN_RANKS - 1
+        )
         assert auto.effective_shard_ranks(AUTO_SHARD_MIN_RANKS) == AUTO_SHARD_RANKS
         forced = ScalebenchConfig(shard_ranks=64)
         assert forced.effective_shard_ranks(512) == 64
@@ -351,23 +261,84 @@ class TestShardedScalebench:
             ScalebenchConfig(shard_ranks=-1)
 
     def test_single_shard_matches_global_path(self):
+        """A one-window cell is ``make_costs → place → normalized_makespan``
+        over the whole cell, bit for bit, on homogeneous and mixed
+        hardware."""
+        from repro.bench.distributions import make_costs
+        from repro.bench.scalebench import ScalebenchConfig, run_scalebench
+        from repro.core.metrics import normalized_makespan
+        from repro.core.policy import get_policy
+        from repro.simnet.cluster import hetero_cluster
+
+        for node_classes in (None, "fast:0.5x16,slow:1.0x48"):
+            config = ScalebenchConfig(
+                scales=(256,),
+                distributions=("exponential", "gaussian"),
+                x_values=(0.0, 50.0),
+                repeats=2,
+                node_classes=node_classes,
+            )
+            rows = run_scalebench(config)
+            assert len(rows) == 4
+            ctx = (
+                None if node_classes is None
+                else hetero_cluster(256, node_classes).placement_context()
+            )
+            for row in rows:
+                policy = get_policy(
+                    f"cplx:{row.x}" if ctx is None else f"hetero-cplx:{row.x}"
+                )
+                ms = []
+                for rep in range(config.repeats):
+                    costs = make_costs(
+                        row.distribution, int(256 * config.blocks_per_rank),
+                        seed=config.seed + 7919 * rep + 256,
+                    )
+                    result = policy.place(costs, 256, ctx=ctx)
+                    ms.append(normalized_makespan(
+                        costs, result.assignment, 256, ctx=ctx
+                    ))
+                assert row.norm_makespan == float(np.mean(ms))
+
+    @pytest.mark.parametrize(
+        "n_ranks, shard_ranks, dist, x, node_classes, norm, peak",
+        [
+            # 500 = 7 x 64 + 52 ranks: a short last window.
+            (500, 64, "exponential", 50.0, None, 2.236731768601052, 2304),
+            # 6-rank windows hold 13 or 14 blocks; the peak is the 14.
+            (1000, 6, "gaussian", 25.0, None, 1.4543195640895676, 224),
+            (1000, 6, "power-law", 0.0, None, 3.191044830677986, 224),
+            (512, 48, "exponential", 50.0, "fast:0.5x16,slow:1.0x48",
+             2.7351459736781996, 1728),
+        ],
+    )
+    def test_uneven_windows_pinned(
+        self, n_ranks, shard_ranks, dist, x, node_classes, norm, peak
+    ):
+        """Uneven rank windows reproduce values pinned before the
+        windowed loop replaced the sharded block table."""
         from repro.bench.scalebench import (
             ScalebenchConfig,
-            run_scalebench,
-            scalebench_digest,
+            _cell_context,
+            _place_sharded,
+            _ScalebenchCell,
         )
+        from repro.core.policy import get_policy
 
-        base = dict(
-            scales=(256,),
-            distributions=("exponential", "gaussian"),
-            x_values=(0.0, 50.0),
-            repeats=2,
+        config = ScalebenchConfig(
+            scales=(n_ranks,), shard_ranks=shard_ranks, node_classes=node_classes
         )
-        rows_global = run_scalebench(ScalebenchConfig(**base))
-        rows_sharded = run_scalebench(ScalebenchConfig(**base, shard_ranks=256))
-        assert scalebench_digest(rows_global) == scalebench_digest(rows_sharded)
-        for g, s in zip(rows_global, rows_sharded):
-            assert g.norm_makespan == s.norm_makespan
+        cell = _ScalebenchCell(
+            config=config, n_ranks=n_ranks, distribution=dist, x=x
+        )
+        ctx = _cell_context(cell)
+        policy = get_policy(f"cplx:{x}" if ctx is None else f"hetero-cplx:{x}")
+        got_norm, elapsed, got_peak = _place_sharded(
+            policy, cell, config.seed + n_ranks, shard_ranks, ctx=ctx
+        )
+        assert got_norm == norm
+        assert got_peak == peak
+        assert elapsed >= 0.0
 
     def test_multi_shard_memory_is_shard_sized(self):
         from repro.bench.scalebench import (
@@ -383,7 +354,7 @@ class TestShardedScalebench:
         )
         norm, elapsed, peak = _place_sharded(get_policy("cplx:50"), cell, 7, 64)
         assert norm >= 1.0 and elapsed >= 0.0
-        # peak shard working set: cost (f64) + sfc_id (i64) per block of
+        # peak window arrays: cost (f64) + assignment (i64) per block of
         # ONE 64-rank window, not the 512-rank global table
         assert peak == int(64 * config.blocks_per_rank) * 16
 

@@ -15,14 +15,15 @@ class TestOctreeLeafLevel:
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         b = BlockIndex(0, (0, 0))
         kids = f.refine(b)
-        # A leaf reports its own level.
-        assert f.leaf_level(kids[0]) == 1
-        # A descendant index of a leaf reports the covering leaf's level.
-        assert f.leaf_level(kids[0].children()[0]) == 1
-        # An internal (refined) region reports None.
-        assert f.leaf_level(b) is None
-        # Outside the domain reports None.
-        assert f.leaf_level(BlockIndex(0, (5, 5))) is None
+        # A leaf is its own covering leaf, at its own level.
+        assert f.find_covering_leaf(kids[0]) == kids[0]
+        assert f.find_covering_leaf(kids[0]).level == 1
+        # A descendant index of a leaf resolves to the covering leaf's level.
+        assert f.find_covering_leaf(kids[0].children()[0]).level == 1
+        # An internal (refined) region has no covering leaf.
+        assert f.find_covering_leaf(b) is None
+        # Outside the domain has no covering leaf.
+        assert f.find_covering_leaf(BlockIndex(0, (5, 5))) is None
 
 
 class TestCdpOptimalEdges:

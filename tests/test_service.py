@@ -290,6 +290,14 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError, match="unknown job_id"):
                 c.status("job-9999")
 
+    def test_zero_count_sweep_rejected_at_submit(self, live_service):
+        svc = live_service()
+        with svc.client() as c:
+            with pytest.raises(ServiceError, match="repeats must be >= 1") as exc:
+                c.submit("scalebench", {"scales": [512], "repeats": 0})
+            assert exc.value.response["ok"] is False
+            assert c.tenant_status("default")["jobs"] == []
+
     def test_tenant_status_aggregates_cache_counters(self, live_service):
         svc = live_service()
         with svc.client() as c:
@@ -311,6 +319,19 @@ class TestServiceEndToEnd:
             kinds = [e["kind"] for e in c.stream_events(job, poll_s=0.1)]
             assert kinds.count("complete") == 2
             assert c.status(job)["state"] == "done"
+
+
+class TestZeroCountSweeps:
+    """A sweep with nothing to average is rejected when its config is
+    built, not after it runs."""
+
+    def test_scalebench_zero_repeats(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            spec_from_params("scalebench", {"scales": [512], "repeats": 0})
+
+    def test_sedov_zero_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            spec_from_params("sedov", {"steps": 0})
 
 
 class TestRunnerAllCellsFailed:
