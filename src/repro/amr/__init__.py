@@ -7,13 +7,13 @@ generators — the Sedov Blast Wave 3D trajectory of Table I and a
 galaxy-cooling-style high-variability workload.
 """
 
-from .block import BlockCostTracker, MeshBlock
+from .block import BlockCostTracker
 from .cooling import CoolingConfig, CoolingWorkload
 from .driver import DriverConfig, RunSummary, run_trajectory
 from .redistribution import (
     BLOCK_BYTES_DEFAULT,
     RedistributionOutcome,
-    carry_assignment,
+    carry_assignment_keys,
     redistribute,
     remap_assignment,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "CoolingConfig",
     "CoolingWorkload",
     "DriverConfig",
-    "MeshBlock",
     "RedistributionOutcome",
     "RunSummary",
     "SedovConfig",
@@ -58,7 +57,7 @@ __all__ = [
     "TaskGraph",
     "TaskKind",
     "build_exchange_graph",
-    "carry_assignment",
+    "carry_assignment_keys",
     "rank_schedule",
     "redistribute",
     "remap_assignment",

@@ -1,4 +1,4 @@
-"""Mesh block state and per-block cost accounting.
+"""Per-block cost accounting.
 
 Every block holds the same number of cells regardless of refinement
 level (§II-B) — cost differences come from *kernel* behaviour (solver
@@ -11,46 +11,13 @@ makes telemetry-driven costs imperfect predictors.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex
-from ..mesh.keys import block_keys, key_levels, parent_keys, unpack_keys
+from ..mesh.keys import key_levels, parent_keys
 
-__all__ = ["MeshBlock", "BlockCostTracker"]
-
-
-@dataclasses.dataclass
-class MeshBlock:
-    """A simulation mesh block: logical index plus runtime state.
-
-    Attributes
-    ----------
-    index:
-        Logical octree address.
-    block_id:
-        Sequential SFC id (valid for the current mesh generation).
-    rank:
-        Owning rank under the current placement.
-    cost:
-        Current per-step compute cost estimate (framework hook; the
-        baseline initializes this to 1.0).
-    data:
-        Optional cell data payload (used by the example mini-solver;
-        the performance model never touches it).
-    """
-
-    index: BlockIndex
-    block_id: int
-    rank: int = -1
-    cost: float = 1.0
-    data: Optional[np.ndarray] = None
-
-    @property
-    def level(self) -> int:
-        return self.index.level
+__all__ = ["BlockCostTracker"]
 
 
 class BlockCostTracker:
@@ -64,9 +31,9 @@ class BlockCostTracker:
     Block identity follows the packed block key (stable across
     redistributions and SFC renumbering; see :mod:`repro.mesh.keys`),
     and the estimates live in two aligned arrays sorted by key.  Refined
-    children inherit the parent's estimate as their prior.  The
-    :class:`BlockIndex` methods are thin wrappers that pack keys; the
-    ``*_keys`` methods are the array-native core the engine calls.
+    children inherit the parent's estimate as their prior.  Callers
+    holding :class:`~repro.mesh.geometry.BlockIndex` objects pack them
+    once with :func:`repro.mesh.keys.block_keys`.
     """
 
     def __init__(self, alpha: float = 0.5, default_cost: float = 1.0) -> None:
@@ -92,16 +59,12 @@ class BlockCostTracker:
         hit = self._keys[np.minimum(pos, self._keys.shape[0] - 1)] == keys
         return hit, pos
 
-    # ------------------------------------------------------------------ #
-    # array-native core
-    # ------------------------------------------------------------------ #
-
     def observe_keys(self, keys: np.ndarray, measured: np.ndarray, dim: int) -> None:
         """Fold one measurement per block key into the estimates.
 
         Raises ``ValueError`` (before updating anything) if any
         measurement is negative.  A key listed twice folds its
-        measurements in order, as repeated :meth:`observe` calls would.
+        measurements in order, as one call per measurement would.
         """
         keys = np.asarray(keys, dtype=np.int64)
         measured = np.asarray(measured, dtype=np.float64)
@@ -148,58 +111,21 @@ class BlockCostTracker:
             probe = parent_keys(probe[up], dim)
         return out
 
-    # ------------------------------------------------------------------ #
-    # BlockIndex API edge
-    # ------------------------------------------------------------------ #
+    def state(self) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+        """``(keys, values, dim)`` copies of the estimate table, for
+        checkpointing (``dim`` is ``None`` before any observation)."""
+        return self._keys.copy(), self._vals.copy(), self._dim
 
-    def observe(self, index: BlockIndex, measured_cost: float) -> None:
-        """Fold one measured kernel time into the estimate."""
-        self.observe_all([index], [measured_cost])
-
-    def observe_all(self, indices: list[BlockIndex], measured: np.ndarray) -> None:
-        measured = np.asarray(measured, dtype=np.float64)
-        indices = list(indices)[: measured.shape[0]]
-        if not indices:
-            return
-        self.observe_keys(
-            block_keys(indices), measured[: len(indices)], indices[0].dim
-        )
-
-    def estimate(self, index: BlockIndex) -> float:
-        """Current cost estimate; falls back to ancestors then default."""
-        return float(self.estimates([index])[0])
-
-    def estimates(self, indices: list[BlockIndex]) -> np.ndarray:
-        indices = list(indices)
-        if not indices:
-            return np.empty(0, dtype=np.float64)
-        return self.estimates_keys(block_keys(indices), indices[0].dim)
-
-    def state(self) -> dict[BlockIndex, float]:
-        """Copy of the estimate table, for checkpointing."""
-        if self._dim is None:
-            return {}
-        coords, levels = unpack_keys(self._keys, self._dim)
-        return {
-            BlockIndex(int(lv), tuple(int(c) for c in cs)): float(v)
-            for cs, lv, v in zip(coords, levels, self._vals)
-        }
-
-    def load_state(self, estimates: dict[BlockIndex, float]) -> None:
-        """Replace the estimate table from a checkpoint."""
-        blocks = list(estimates)
-        keys = block_keys(blocks)
+    def load_state(
+        self, state: Tuple[np.ndarray, np.ndarray, Optional[int]]
+    ) -> None:
+        """Replace the estimate table from a :meth:`state` tuple."""
+        keys, values, dim = state
+        keys = np.asarray(keys, dtype=np.int64)
         order = np.argsort(keys)
         self._keys = keys[order]
-        self._vals = np.asarray(
-            [estimates[b] for b in blocks], dtype=np.float64
-        ).reshape(-1)[order]
-        self._dim = blocks[0].dim if blocks else None
-
-    def forget_except(self, live: set[BlockIndex]) -> None:
-        """Drop estimates for blocks no longer in the mesh (bounded memory)."""
-        keep = np.isin(self._keys, block_keys(live))
-        self._keys, self._vals = self._keys[keep], self._vals[keep]
+        self._vals = np.asarray(values, dtype=np.float64)[order]
+        self._dim = dim
 
     def __len__(self) -> int:
         return int(self._keys.shape[0])

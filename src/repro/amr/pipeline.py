@@ -17,16 +17,17 @@ remain usable separately.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from ..core.policy import PlacementPolicy
 from ..mesh.geometry import BlockIndex
+from ..mesh.keys import block_keys
 from ..mesh.mesh import AmrMesh
 from ..telemetry.collector import TelemetryCollector
 from .block import BlockCostTracker
-from .redistribution import carry_assignment
+from .redistribution import carry_assignment_keys
 from .trigger import ImbalanceTrigger
 
 __all__ = ["BlockSolver", "Simulation", "SimulationResult"]
@@ -45,6 +46,7 @@ class BlockSolver(Protocol):
 
     def step(self, dt: float | None = None) -> float: ...
     def adapt(self, threshold: float = ..., coarsen_below: float = ...) -> Tuple[int, int]: ...
+    def measured_costs(self) -> np.ndarray: ...
 
 
 @dataclasses.dataclass
@@ -115,10 +117,7 @@ class Simulation:
         self.tracker = BlockCostTracker()
         self.collector = TelemetryCollector(n_ranks, ranks_per_node)
         self.assignment: Optional[np.ndarray] = None
-        self._prev_blocks: Optional[List[BlockIndex]] = None
-        # Per-assignment-epoch step-recording layout (see _refresh_layout).
-        self._row_of: Dict[BlockIndex, int] = {}
-        self._per_block: np.ndarray = np.zeros(0)
+        self._prev_keys: Optional[np.ndarray] = None
         self._block_counts: np.ndarray = np.zeros(0, dtype=np.int64)
         self._zero_comm = np.zeros(n_ranks)
         self.redistributions = 0
@@ -137,32 +136,30 @@ class Simulation:
         """EWMA-smoothed measured cost per block in SFC order."""
         kt = self.solver.kernel_times
         if kt:
-            self.tracker.observe_all(
-                list(kt), np.fromiter(kt.values(), dtype=np.float64, count=len(kt))
+            self.tracker.observe_keys(
+                block_keys(kt),
+                np.fromiter(kt.values(), dtype=np.float64, count=len(kt)),
+                self.mesh.dim,
             )
-        return self.tracker.estimates(self.mesh.blocks)
+        return self.tracker.estimates_keys(self.mesh.keys(), self.mesh.dim)
 
-    def _refresh_layout(self) -> None:
-        """(Re)build the step-recording layout for the current assignment.
+    def _set_assignment(self, assignment: np.ndarray) -> None:
+        """Adopt a placement of the current mesh.
 
-        The block→row index, the per-block scratch buffer, and the
-        per-rank block counts are invariant between redistributions, so
-        they are built once per assignment epoch instead of on every
-        step.  ``_block_counts`` is handed to the collector (which keeps
-        references) and must never be mutated in place — each refresh
-        allocates a fresh array.
+        ``_block_counts`` is handed to the collector (which keeps
+        references), so each assignment gets a fresh array.
         """
-        blocks = self.mesh.blocks
-        self._row_of = {b: i for i, b in enumerate(blocks)}
-        self._per_block = np.zeros(len(blocks))
-        self._block_counts = np.bincount(self.assignment, minlength=self.n_ranks)
+        self.assignment = assignment
+        self._prev_keys = self.mesh.keys()
+        self._block_counts = np.bincount(assignment, minlength=self.n_ranks)
 
     def _redistribute(self, force: bool) -> None:
         costs = self._measured_costs()
-        blocks = self.mesh.blocks
         carried = (
-            carry_assignment(self._prev_blocks, self.assignment, blocks)
-            if self._prev_blocks is not None and self.assignment is not None
+            carry_assignment_keys(
+                self._prev_keys, self.assignment, self.mesh.keys(), self.mesh.dim
+            )
+            if self._prev_keys is not None and self.assignment is not None
             else None
         )
         if not force and self.trigger is not None and carried is not None:
@@ -170,36 +167,27 @@ class Simulation:
                 decision = self.trigger.evaluate(costs, carried, self.n_ranks)
                 if not decision.rebalance:
                     self.trigger_skips += 1
-                    self.assignment = carried
-                    self._prev_blocks = list(blocks)
-                    self._refresh_layout()
+                    self._set_assignment(carried)
                     return
         result = self.policy.place(costs, self.n_ranks)
         if carried is not None:
             moved = int(((carried != result.assignment) & (carried >= 0)).sum())
             self.migrated_blocks += moved
-        self.assignment = result.assignment
-        self._prev_blocks = list(blocks)
-        self._refresh_layout()
+        self._set_assignment(result.assignment)
         self.redistributions += 1
 
     def _record_step(self) -> None:
-        """Attribute measured kernel times to simulated ranks."""
+        """Attribute measured kernel times to simulated ranks.
+
+        Between redistributions the stepped mesh is the assigned mesh,
+        so the solver's SFC-ordered costs line up with the assignment.
+        """
         if self.assignment is None:
             return
-        # Scatter this step's kernel times into the preallocated
-        # per-block buffer via the epoch's block→row index (blocks with
-        # no measurement stay 0, measurements for vanished blocks are
-        # dropped — same semantics as rebuilding the array per step).
-        per_block = self._per_block
-        per_block[:] = 0.0
-        row_of = self._row_of
-        for block, seconds in self.solver.kernel_times.items():
-            row = row_of.get(block)
-            if row is not None:
-                per_block[row] = seconds
         compute = np.bincount(
-            self.assignment, weights=per_block, minlength=self.n_ranks
+            self.assignment,
+            weights=self.solver.measured_costs(),
+            minlength=self.n_ranks,
         )
         # BSP attribution: everyone waits for the slowest rank.
         sync = compute.max() - compute
@@ -222,11 +210,9 @@ class Simulation:
         if self.assignment is None:
             # Startup placement: no measurements yet -> unit costs, like
             # the framework default the paper starts from.
-            self.assignment = self.policy.place(
-                np.ones(self.mesh.n_blocks), self.n_ranks
-            ).assignment
-            self._prev_blocks = list(self.mesh.blocks)
-            self._refresh_layout()
+            self._set_assignment(
+                self.policy.place(np.ones(self.mesh.n_blocks), self.n_ranks).assignment
+            )
             self.redistributions += 1
 
         for _ in range(n_steps):

@@ -16,14 +16,13 @@ that shows up as the ``lb`` phase (~3% in Fig. 6a).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.context import PlacementContext
 from ..core.policy import PlacementPolicy, PlacementResult
-from ..mesh.geometry import BlockIndex
-from ..mesh.keys import block_keys, first_child_keys, key_levels, parent_keys
+from ..mesh.keys import first_child_keys, key_levels, parent_keys
 from ..simnet.machine import FabricSpec
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "abort_redistribution",
     "stale_assignment",
     "redistribute",
-    "carry_assignment",
     "carry_assignment_keys",
     "remap_assignment",
 ]
@@ -58,10 +56,11 @@ class RedistributionOutcome:
         return self.migration_s + self.placement_s
 
 
-def carry_assignment(
-    old_blocks: List[BlockIndex],
+def carry_assignment_keys(
+    old_keys: np.ndarray,
     old_assignment: np.ndarray,
-    new_blocks: List[BlockIndex],
+    new_keys: np.ndarray,
+    dim: int,
 ) -> np.ndarray:
     """Project an assignment across a remesh for migration accounting.
 
@@ -69,28 +68,12 @@ def carry_assignment(
     parent's rank; a coarsened parent starts on its first child's rank
     (Parthenon keeps data where it was until redistribution moves it).
     Blocks with no identifiable predecessor get rank -1 (freshly created;
-    their move is not charged as migration).  Packs block keys and runs
-    :func:`carry_assignment_keys`.
-    """
-    if not old_blocks or not new_blocks:
-        return np.full(len(new_blocks), -1, dtype=np.int64)
-    return carry_assignment_keys(
-        block_keys(old_blocks), old_assignment, block_keys(new_blocks),
-        old_blocks[0].dim,
-    )
+    their move is not charged as migration).
 
-
-def carry_assignment_keys(
-    old_keys: np.ndarray,
-    old_assignment: np.ndarray,
-    new_keys: np.ndarray,
-    dim: int,
-) -> np.ndarray:
-    """:func:`carry_assignment` over packed block keys (sorted search).
-
-    Each new key is looked up as itself, then (if unowned and not a
-    root) as its parent, then as its first child.  If an old key repeats,
-    its last owner wins.
+    Blocks are packed block keys (see :mod:`repro.mesh.keys`), found by
+    sorted search.  Each new key is looked up as itself, then (if unowned
+    and not a root) as its parent, then as its first child.  If an old
+    key repeats, its last owner wins.
     """
     old_keys = np.asarray(old_keys, dtype=np.int64)
     new_keys = np.asarray(new_keys, dtype=np.int64)

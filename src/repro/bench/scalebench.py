@@ -92,6 +92,14 @@ class ScalebenchConfig:
     node_classes: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("scales", "x_values", "distributions"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if min(self.scales) < 1:
+            raise ValueError(f"scales must be >= 1, got {list(self.scales)}")
+        bad_x = [x for x in self.x_values if not 0.0 <= x <= 100.0]
+        if bad_x:
+            raise ValueError(f"X values must be in [0, 100], got {bad_x}")
         unknown = set(self.distributions) - set(COST_DISTRIBUTIONS)
         if unknown:
             raise ValueError(f"unknown distributions: {sorted(unknown)}")

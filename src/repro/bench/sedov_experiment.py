@@ -82,6 +82,15 @@ class SedovSweepConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not self.scales:
+            raise ValueError("scales must not be empty")
+        if not self.policies:
+            raise ValueError("policies must not be empty")
+        for name in self.policies:
+            try:
+                get_policy(name)  # fail here, not inside every cell
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
 
     def sweep_cluster(self, n_ranks: int) -> Cluster:
         """The cluster a cell at ``n_ranks`` runs on."""

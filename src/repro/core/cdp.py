@@ -31,6 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .baseline import assignment_from_counts
 from .context import PlacementContext
+from .metrics import _rescaled
 from .policy import PlacementPolicy, register_policy
 
 __all__ = [
@@ -53,6 +54,22 @@ def counts_makespan(costs: np.ndarray, counts: np.ndarray) -> float:
     prefix = np.concatenate([[0.0], np.cumsum(costs)])
     seg = prefix[bounds[1:]] - prefix[bounds[:-1]]
     return float(seg.max()) if seg.size else 0.0
+
+
+def _prefix(costs: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(costs)]``, kept finite.
+
+    If the total overflows, the prefix is taken over costs scaled by an
+    exact power of two (as :func:`repro.core.metrics.load_stats` does).
+    The scaling commutes with rounding, so the DP makes the choices it
+    would make in unbounded range; finite totals are left untouched.
+    """
+    with np.errstate(over="ignore"):
+        prefix = np.concatenate([[0.0], np.cumsum(costs, dtype=np.float64)])
+    if not np.isfinite(prefix[-1]):
+        scaled, _ = _rescaled(costs)
+        prefix = np.concatenate([[0.0], np.cumsum(scaled, dtype=np.float64)])
+    return prefix
 
 
 def cdp_restricted(costs: np.ndarray, n_ranks: int) -> np.ndarray:
@@ -109,7 +126,7 @@ def cdp_restricted_many(
     # then gives one width-wide row per rank step, starting f apart.
     floor_rows, ceil_rows = [], []
     for (a, b), r, f in zip(ranges, shares.tolist(), floor.tolist()):
-        prefix = np.concatenate([[0.0], np.cumsum(costs[a:b], dtype=np.float64)])
+        prefix = _prefix(costs[a:b])
         m = prefix.shape[0]
         run = np.full((2, (r - 1) * f + width), np.inf)
         np.subtract(prefix[f:], prefix[: m - f], out=run[0, : m - f])
@@ -161,7 +178,8 @@ def cdp_restricted_many(
                 ceil_at.append(start + k)
                 j -= 1
             at -= step
-        assert j == 0, "CDP reconstruction failed"
+        if j != 0:
+            raise RuntimeError(f"CDP reconstruction failed for chunk {i}")
     counts[ceil_at] += 1
     return counts
 
@@ -174,7 +192,7 @@ def cdp_full(costs: np.ndarray, n_ranks: int) -> np.ndarray:
     small instances (tests, the restriction ablation).
     """
     n = int(costs.shape[0])
-    prefix = np.concatenate([[0.0], np.cumsum(costs, dtype=np.float64)])
+    prefix = _prefix(costs)
     INF = np.inf
     dp = np.full((n + 1, n_ranks + 1), INF, dtype=np.float64)
     cut = np.zeros((n + 1, n_ranks + 1), dtype=np.int64)
@@ -193,7 +211,8 @@ def cdp_full(costs: np.ndarray, n_ranks: int) -> np.ndarray:
         j = int(cut[i, k])
         counts[k - 1] = i - j
         i = j
-    assert i == 0, "full CDP reconstruction failed"
+    if i != 0:
+        raise RuntimeError("full CDP reconstruction failed")
     return counts
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .baseline import assignment_from_counts
 from .cdp import cdp_restricted_many
 from .context import PlacementContext
+from .metrics import _rescaled
 from .policy import PlacementPolicy, register_policy
 
 __all__ = ["ChunkedCDPPolicy", "split_chunks", "chunked_cdp_counts"]
@@ -97,6 +98,12 @@ def chunked_cdp_counts(
     if n_chunks == 1:
         return cdp_restricted_many(costs, [(0, n)], [n_ranks])
 
+    with np.errstate(over="ignore"):
+        total = float(costs.sum())
+    if not np.isfinite(total * n_chunks):
+        # split_chunks scales the total by up to n_chunks: split and share
+        # out exactly rescaled costs instead (as CDP's prefix sums do).
+        costs, _ = _rescaled(costs)
     ranges = split_chunks(costs, n_chunks)
     chunk_costs = np.asarray(
         [float(costs[a:b].sum()) for a, b in ranges], dtype=np.float64

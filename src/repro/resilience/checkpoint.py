@@ -13,8 +13,8 @@ test-friendly) and :class:`DirectoryCheckpointStore`, which persists
 each checkpoint as a rotated snapshot directory ``ckpt-NNNNNN`` —
 
 * ``meta.json`` — scalars, the assignment, cluster/tuning state, both
-  RNG states, the cost-tracker estimates keyed by block address, and a
-  SHA-256 digest of all of the above (integrity seal);
+  RNG states, the cost-tracker estimates keyed by packed block key, and
+  a SHA-256 digest of all of the above (integrity seal);
 * ``steps.rprc`` / ``epochs.rprc`` / ... — the collector's tables in
   the repo's binary columnar format (per-column CRC32-verified).
 
@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex
 from ..telemetry.columnar import (
     ColumnTable,
     CorruptTelemetryError,
@@ -56,16 +55,7 @@ __all__ = [
     "DirectoryCheckpointStore",
 ]
 
-CHECKPOINT_VERSION = 1
-
-
-def _encode_block(index: BlockIndex) -> str:
-    return f"{index.level}|{','.join(str(c) for c in index.coords)}"
-
-
-def _decode_block(key: str) -> BlockIndex:
-    level, coords = key.split("|", 1)
-    return BlockIndex(int(level), tuple(int(c) for c in coords.split(",")))
+CHECKPOINT_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -91,7 +81,8 @@ class DriverCheckpoint:
     drain_queue: bool
     driver_rng_state: dict
     model_rng_state: dict
-    tracker_estimates: Dict[BlockIndex, float]
+    #: the cost tracker's ``(keys, values, dim)`` (see ``BlockCostTracker.state``)
+    tracker_state: Tuple[np.ndarray, np.ndarray, Optional[int]]
     tables: Dict[str, ColumnTable]        #: collector snapshot
 
     def clone(self) -> "DriverCheckpoint":
@@ -165,6 +156,7 @@ class DirectoryCheckpointStore:
         return self.path / f"ckpt-{snap_id:06d}"
 
     def save(self, ckpt: DriverCheckpoint) -> None:
+        tracker_keys, tracker_values, tracker_dim = ckpt.tracker_state
         meta = {
             "version": CHECKPOINT_VERSION,
             "epoch_index": ckpt.epoch_index,
@@ -182,7 +174,9 @@ class DirectoryCheckpointStore:
             "driver_rng_state": _jsonable_rng(ckpt.driver_rng_state),
             "model_rng_state": _jsonable_rng(ckpt.model_rng_state),
             "tracker": {
-                _encode_block(k): v for k, v in ckpt.tracker_estimates.items()
+                "keys": np.asarray(tracker_keys, dtype=np.int64).tolist(),
+                "values": np.asarray(tracker_values, dtype=np.float64).tolist(),
+                "dim": tracker_dim,
             },
             "tables": sorted(ckpt.tables),
         }
@@ -253,6 +247,7 @@ class DirectoryCheckpointStore:
             name: read_table(snap / f"{name}.rprc") for name in table_names
         }
         assignment = meta["assignment"]
+        tracker = meta["tracker"]
         return DriverCheckpoint(
             epoch_index=meta["epoch_index"],
             total_steps=meta["total_steps"],
@@ -270,9 +265,11 @@ class DirectoryCheckpointStore:
             drain_queue=meta["drain_queue"],
             driver_rng_state=_rng_from_json(meta["driver_rng_state"]),
             model_rng_state=_rng_from_json(meta["model_rng_state"]),
-            tracker_estimates={
-                _decode_block(k): float(v) for k, v in meta["tracker"].items()
-            },
+            tracker_state=(
+                np.asarray(tracker["keys"], dtype=np.int64),
+                np.asarray(tracker["values"], dtype=np.float64),
+                tracker["dim"],
+            ),
             tables=tables,
         )
 

@@ -151,7 +151,7 @@ class FaultTimelineHook(EpochHook):
             # survivors and replays from the checkpointed epoch.
             recovery_cost = resilience.restore_s
             ctx.collector.restore_tables(ckpt.tables)
-            ctx.tracker.load_state(ckpt.tracker_estimates)
+            ctx.tracker.load_state(ckpt.tracker_state)
             ctx.rng.bit_generator.state = ckpt.driver_rng_state
             ctx.model.set_rng_state(ckpt.model_rng_state)
             ctx.alive = list(ckpt.alive_nodes)
@@ -379,7 +379,7 @@ class CheckpointHook(EpochHook):
             drain_queue=ctx.tuning.drain_queue,
             driver_rng_state=ctx.rng.bit_generator.state,
             model_rng_state=ctx.model.rng_state(),
-            tracker_estimates=ctx.tracker.state(),
+            tracker_state=ctx.tracker.state(),
             tables=ctx.collector.snapshot_tables(),
         )
         self.store.save(ckpt)

@@ -8,7 +8,12 @@ and the public names prefixed ``golden_``.  The parity tests in
 bit-identical RunSummary and telemetry tables against these.
 
 Do not "fix" or modernize this module: its value is that it does not
-change when the live drivers do.
+change when the live drivers do.  The one exception is forced: the
+library's ``BlockIndex`` wrappers (``carry_assignment``,
+``BlockCostTracker.observe_all``/``estimates``) and the checkpoint's
+``tracker_estimates`` field were deleted, so local copies of the
+wrappers below pack block keys exactly as the deleted ones did, and the
+checkpoint carries ``tracker_state``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from repro.simnet.runtime import BSPModel, ExchangePattern
 from repro.simnet.tuning import TUNED, TuningConfig
 from repro.telemetry.collector import TelemetryCollector
 from repro.amr.block import BlockCostTracker
-from repro.amr.redistribution import carry_assignment, redistribute
+from repro.amr.redistribution import carry_assignment_keys, redistribute
+from repro.mesh.keys import block_keys
 from repro.amr.sedov import SedovEpoch
 from repro.core.policy import get_policy
 from repro.simnet.faults import FaultTimeline
@@ -41,6 +47,35 @@ from repro.resilience.monitor import HealthMonitor
 
 
 from repro.amr.driver import DriverConfig, RunSummary  # noqa: E402
+
+
+def carry_assignment(old_blocks, old_assignment, new_blocks):
+    """Local copy of the deleted ``BlockIndex`` carry wrapper."""
+    if not old_blocks or not new_blocks:
+        return np.full(len(new_blocks), -1, dtype=np.int64)
+    return carry_assignment_keys(
+        block_keys(old_blocks), old_assignment, block_keys(new_blocks),
+        old_blocks[0].dim,
+    )
+
+
+def _observe_all(tracker, indices, measured):
+    """Local copy of the deleted ``BlockCostTracker.observe_all``."""
+    measured = np.asarray(measured, dtype=np.float64)
+    indices = list(indices)[: measured.shape[0]]
+    if not indices:
+        return
+    tracker.observe_keys(
+        block_keys(indices), measured[: len(indices)], indices[0].dim
+    )
+
+
+def _estimates(tracker, indices):
+    """Local copy of the deleted ``BlockCostTracker.estimates``."""
+    indices = list(indices)
+    if not indices:
+        return np.empty(0, dtype=np.float64)
+    return tracker.estimates_keys(block_keys(indices), indices[0].dim)
 
 
 def golden_run_trajectory(
@@ -91,9 +126,9 @@ def golden_run_trajectory(
         measured = epoch.base_costs * rng.lognormal(
             0.0, config.cost_measurement_sigma, size=epoch.base_costs.shape[0]
         )
-        tracker.observe_all(epoch.blocks, measured)
+        _observe_all(tracker, epoch.blocks, measured)
         if config.use_measured_costs:
-            policy_costs = tracker.estimates(epoch.blocks)
+            policy_costs = _estimates(tracker, epoch.blocks)
         else:
             policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
 
@@ -338,7 +373,7 @@ def golden_run_resilient_trajectory(
             drain_queue=tuning.drain_queue,
             driver_rng_state=rng.bit_generator.state,
             model_rng_state=model.rng_state(),
-            tracker_estimates=tracker.state(),
+            tracker_state=tracker.state(),
             tables=collector.snapshot_tables(),
         )
         store.save(ckpt)
@@ -375,9 +410,9 @@ def golden_run_resilient_trajectory(
         measured = epoch.base_costs * rng.lognormal(
             0.0, config.cost_measurement_sigma, size=epoch.base_costs.shape[0]
         )
-        tracker.observe_all(epoch.blocks, measured)
+        _observe_all(tracker, epoch.blocks, measured)
         if config.use_measured_costs:
-            policy_costs = tracker.estimates(epoch.blocks)
+            policy_costs = _estimates(tracker, epoch.blocks)
         else:
             policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
 
@@ -473,7 +508,7 @@ def golden_run_resilient_trajectory(
                 # survivors and replays from the checkpointed epoch.
                 recovery_cost = resilience.restore_s
                 collector.restore_tables(ckpt.tables)
-                tracker.load_state(ckpt.tracker_estimates)
+                tracker.load_state(ckpt.tracker_state)
                 rng.bit_generator.state = ckpt.driver_rng_state
                 model.set_rng_state(ckpt.model_rng_state)
                 alive = list(ckpt.alive_nodes)

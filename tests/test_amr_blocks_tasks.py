@@ -5,67 +5,58 @@ import pytest
 
 from repro.amr import (
     BlockCostTracker,
-    MeshBlock,
     TaskGraph,
     TaskKind,
     build_exchange_graph,
     rank_schedule,
 )
-from repro.mesh import BlockIndex
+from repro.mesh import BlockIndex, block_keys
+
+
+def observe(tracker, block, cost):
+    tracker.observe_keys(block_keys([block]), [cost], block.dim)
+
+
+def estimate(tracker, block):
+    return float(tracker.estimates_keys(block_keys([block]), block.dim)[0])
 
 
 class TestCostTracker:
     def test_first_observation_sets_estimate(self):
         t = BlockCostTracker()
         b = BlockIndex(0, (0, 0, 0))
-        t.observe(b, 3.0)
-        assert t.estimate(b) == 3.0
+        observe(t, b, 3.0)
+        assert estimate(t, b) == 3.0
 
     def test_ewma_smoothing(self):
         t = BlockCostTracker(alpha=0.5)
         b = BlockIndex(0, (0, 0, 0))
-        t.observe(b, 2.0)
-        t.observe(b, 4.0)
-        assert t.estimate(b) == pytest.approx(3.0)
+        observe(t, b, 2.0)
+        observe(t, b, 4.0)
+        assert estimate(t, b) == pytest.approx(3.0)
 
     def test_child_inherits_parent_prior(self):
         t = BlockCostTracker()
         parent = BlockIndex(1, (1, 1, 1))
-        t.observe(parent, 5.0)
+        observe(t, parent, 5.0)
         child = parent.children()[2]
-        assert t.estimate(child) == 5.0
+        assert estimate(t, child) == 5.0
 
     def test_unknown_block_default(self):
         t = BlockCostTracker(default_cost=2.5)
-        assert t.estimate(BlockIndex(0, (9, 9, 9))) == 2.5
-
-    def test_forget_except(self):
-        t = BlockCostTracker()
-        a, b = BlockIndex(0, (0, 0)), BlockIndex(0, (1, 0))
-        t.observe(a, 1.0)
-        t.observe(b, 1.0)
-        t.forget_except({a})
-        assert len(t) == 1
+        assert estimate(t, BlockIndex(0, (9, 9, 9))) == 2.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockCostTracker(alpha=0.0)
         with pytest.raises(ValueError):
-            BlockCostTracker().observe(BlockIndex(0, (0,)), -1.0)
+            observe(BlockCostTracker(), BlockIndex(0, (0,)), -1.0)
 
     def test_estimates_vector(self):
         t = BlockCostTracker()
-        blocks = [BlockIndex(0, (i, 0)) for i in range(3)]
-        t.observe_all(blocks, np.array([1.0, 2.0, 3.0]))
-        assert t.estimates(blocks).tolist() == [1.0, 2.0, 3.0]
-
-
-class TestMeshBlock:
-    def test_defaults(self):
-        b = MeshBlock(BlockIndex(2, (1, 2, 3)), block_id=7)
-        assert b.level == 2
-        assert b.cost == 1.0  # the framework default the paper calls out
-        assert b.rank == -1
+        keys = block_keys([BlockIndex(0, (i, 0)) for i in range(3)])
+        t.observe_keys(keys, np.array([1.0, 2.0, 3.0]), 2)
+        assert t.estimates_keys(keys, 2).tolist() == [1.0, 2.0, 3.0]
 
 
 class TestTaskGraph:

@@ -1,10 +1,11 @@
 """Keyed per-block state against the original dict-backed versions.
 
-``BlockCostTracker`` and ``carry_assignment`` keep per-block state in
-sorted arrays of packed block keys.  These properties drive both the
+``BlockCostTracker`` and ``carry_assignment_keys`` keep per-block state
+in sorted arrays of packed block keys.  These properties drive both the
 keyed code and a dict reference (the pre-key implementation, kept here
 verbatim in behavior) through random refine/coarsen histories and
-require bit-identical estimates and carried owners.
+require bit-identical estimates and carried owners.  Blocks are packed
+into keys at the test edge with ``block_keys``.
 """
 
 import numpy as np
@@ -12,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amr import BlockCostTracker, carry_assignment
-from repro.amr.redistribution import carry_assignment_keys
-from repro.mesh import AmrMesh, BlockIndex, RefinementTags, RootGrid
+from repro.amr import BlockCostTracker, carry_assignment_keys
+from repro.mesh import AmrMesh, BlockIndex, RefinementTags, RootGrid, block_keys
 
 
 class DictTracker:
@@ -47,8 +47,27 @@ class DictTracker:
         return self.default_cost
 
 
+def keyed_table(tracker):
+    """The tracker's estimate table as ``{key: estimate}``."""
+    keys, values, _ = tracker.state()
+    return dict(zip(keys.tolist(), values.tolist()))
+
+
+def dict_table(ref):
+    """The reference's estimate table, keyed like :func:`keyed_table`."""
+    return dict(zip(block_keys(ref.est).tolist(), ref.est.values()))
+
+
+def carry(old_blocks, old_assignment, new_blocks):
+    """``carry_assignment_keys`` over blocks packed at the test edge."""
+    return carry_assignment_keys(
+        block_keys(old_blocks), old_assignment, block_keys(new_blocks),
+        (old_blocks or new_blocks)[0].dim,
+    )
+
+
 def dict_carry(old_blocks, old_assignment, new_blocks):
-    """The dict-backed carry_assignment the keyed one replaced."""
+    """The dict-backed carry the keyed one replaced."""
     owner = {b: int(r) for b, r in zip(old_blocks, old_assignment)}
     out = np.full(len(new_blocks), -1, dtype=np.int64)
     for i, b in enumerate(new_blocks):
@@ -103,10 +122,10 @@ class TestTrackerParity:
             keyed.observe_keys(keys, measured, dim)
             for b, m in zip(blocks, measured):
                 ref.observe(b, float(m))
-            assert keyed.estimates(blocks).tolist() == [
+            assert keyed.estimates_keys(keys, dim).tolist() == [
                 ref.estimate(b) for b in blocks
             ]
-            assert keyed.state() == ref.est
+            assert keyed_table(keyed) == dict_table(ref)
             assert len(keyed) == len(ref.est)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.floats(0, 10)),
@@ -115,45 +134,47 @@ class TestTrackerParity:
         blocks = [BlockIndex(1, (i, 0)) for i, _ in obs]
         measured = np.asarray([m for _, m in obs])
         keyed, ref = BlockCostTracker(), DictTracker()
-        keyed.observe_all(blocks, measured)
+        keyed.observe_keys(block_keys(blocks), measured, 2)
         for b, m in zip(blocks, measured):
             ref.observe(b, float(m))
-        assert keyed.state() == ref.est
+        assert keyed_table(keyed) == dict_table(ref)
 
     def test_parent_prior_walks_up_levels(self):
         t = BlockCostTracker(default_cost=7.0)
         root = BlockIndex(0, (1, 0, 1))
-        t.observe(root, 4.0)
+        t.observe_keys(block_keys([root]), [4.0], 3)
         grandchild = root.children()[3].children()[5]
-        assert t.estimate(grandchild) == 4.0
-        assert t.estimate(BlockIndex(2, (0, 0, 0))) == 7.0
+        probes = block_keys([grandchild, BlockIndex(2, (0, 0, 0))])
+        assert t.estimates_keys(probes, 3).tolist() == [4.0, 7.0]
 
     def test_negative_cost_leaves_state_untouched(self):
         t = BlockCostTracker()
         blocks = [BlockIndex(0, (i, 0)) for i in range(4)]
-        t.observe_all(blocks, [1.0, 2.0, 3.0, 4.0])
-        before = t.state()
+        t.observe_keys(block_keys(blocks), [1.0, 2.0, 3.0, 4.0], 2)
+        before = keyed_table(t)
         with pytest.raises(ValueError):
-            t.observe_all(blocks + [BlockIndex(0, (9, 9))],
-                          [5.0, 5.0, -1.0, 5.0, 5.0])
-        assert t.state() == before
+            t.observe_keys(block_keys(blocks + [BlockIndex(0, (9, 9))]),
+                           [5.0, 5.0, -1.0, 5.0, 5.0], 2)
+        assert keyed_table(t) == before
 
     def test_state_round_trip(self):
         t = BlockCostTracker()
         blocks = [BlockIndex(1, (i, 1, 0)) for i in range(5)]
-        t.observe_all(blocks, np.arange(5.0))
+        keys = block_keys(blocks)
+        t.observe_keys(keys, np.arange(5.0), 3)
         clone = BlockCostTracker()
         clone.load_state(t.state())
-        assert clone.state() == t.state()
-        assert clone.estimates(blocks).tolist() == t.estimates(blocks).tolist()
-        clone.forget_except(set(blocks[:2]))
-        assert set(clone.state()) == set(blocks[:2])
+        (ck, cv, cdim), (tk, tv, tdim) = clone.state(), t.state()
+        assert ck.tolist() == tk.tolist() and cv.tolist() == tv.tolist()
+        assert cdim == tdim == 3
+        assert (clone.estimates_keys(keys, 3).tolist()
+                == t.estimates_keys(keys, 3).tolist())
 
     def test_mixed_dimensions_rejected(self):
         t = BlockCostTracker()
-        t.observe(BlockIndex(0, (0, 0)), 1.0)
+        t.observe_keys(block_keys([BlockIndex(0, (0, 0))]), [1.0], 2)
         with pytest.raises(ValueError):
-            t.observe(BlockIndex(0, (0, 0, 0)), 1.0)
+            t.observe_keys(block_keys([BlockIndex(0, (0, 0, 0))]), [1.0], 3)
 
 
 class TestCarryParity:
@@ -164,7 +185,7 @@ class TestCarryParity:
         for (old, old_keys), (new, new_keys) in zip(epochs, epochs[1:]):
             assignment = rng.integers(0, 8, size=len(old))
             want = dict_carry(old, assignment, new)
-            assert carry_assignment(old, assignment, new).tolist() == want.tolist()
+            assert carry(old, assignment, new).tolist() == want.tolist()
             got = carry_assignment_keys(old_keys, assignment, new_keys, dim)
             assert got.tolist() == want.tolist()
 
@@ -182,9 +203,9 @@ class TestCarryParity:
         old, new = some_blocks(int(rng.integers(0, 30))), some_blocks(30)
         assignment = rng.integers(0, 5, size=len(old))
         want = dict_carry(old, assignment, new)
-        assert carry_assignment(old, assignment, new).tolist() == want.tolist()
+        assert carry(old, assignment, new).tolist() == want.tolist()
 
     def test_empty_sides(self):
         b = [BlockIndex(0, (0, 0))]
-        assert carry_assignment([], np.empty(0, dtype=np.int64), b).tolist() == [-1]
-        assert carry_assignment(b, np.array([3]), []).tolist() == []
+        assert carry([], np.empty(0, dtype=np.int64), b).tolist() == [-1]
+        assert carry(b, np.array([3]), []).tolist() == []

@@ -11,7 +11,7 @@ from repro.amr import (
     SedovConfig,
     SedovWorkload,
     TABLE_I_CONFIGS,
-    carry_assignment,
+    carry_assignment_keys,
     redistribute,
     scaled_config,
     table_i_config,
@@ -138,22 +138,26 @@ class TestCooling:
 
 class TestRedistribution:
     def test_carry_across_refinement(self):
-        from repro.mesh import BlockIndex
+        from repro.mesh import BlockIndex, block_keys
 
         old_blocks = [BlockIndex(0, (0, 0)), BlockIndex(0, (1, 0))]
         old_assign = np.array([3, 5])
         kids = old_blocks[0].children()
         new_blocks = list(kids) + [old_blocks[1]]
-        carried = carry_assignment(old_blocks, old_assign, new_blocks)
+        carried = carry_assignment_keys(
+            block_keys(old_blocks), old_assign, block_keys(new_blocks), 2
+        )
         assert carried.tolist() == [3, 3, 3, 3, 5]
 
     def test_carry_across_coarsening(self):
-        from repro.mesh import BlockIndex
+        from repro.mesh import BlockIndex, block_keys
 
         parent = BlockIndex(0, (0, 0))
         kids = list(parent.children())
         old_assign = np.array([1, 2, 3, 4])
-        carried = carry_assignment(kids, old_assign, [parent])
+        carried = carry_assignment_keys(
+            block_keys(kids), old_assign, block_keys([parent]), 2
+        )
         assert carried.tolist() == [1]  # first child's rank
 
     def test_migration_accounting(self):

@@ -2,7 +2,12 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +263,70 @@ class TestChunking:
             costs, chunked_cdp_counts(costs, 64, ranks_per_chunk=16)
         )
         assert chunked_m <= global_m * 1.35
+
+
+#: costs whose float64 total overflows
+huge_costs = st.lists(st.floats(1e300, 1.7e308), min_size=2, max_size=30).map(
+    lambda c: np.asarray(c, dtype=np.float64)
+)
+
+
+def scaled_down(costs):
+    """``costs * 2**-k`` with the largest cost in [0.5, 1)."""
+    return np.ldexp(costs, -int(np.frexp(costs.max())[1]))
+
+
+class TestOverflow:
+    """Costs whose total overflows float64 place as if scaled down.
+
+    A power-of-two scale is exact, so the DP must make the choices it
+    makes on the scaled costs, with no warning and no failed backtrack.
+    """
+
+    @given(huge_costs, st.integers(1, 8))
+    @settings(max_examples=60)
+    def test_counts_match_scaled_costs(self, costs, r):
+        small = scaled_down(costs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdp_restricted(costs, r).tolist() == cdp_restricted(small, r).tolist()
+            assert cdp_full(costs, r).tolist() == cdp_full(small, r).tolist()
+            for rpc in (1, 3, 512):
+                got = chunked_cdp_counts(costs, r, ranks_per_chunk=rpc)
+                want = chunked_cdp_counts(small, r, ranks_per_chunk=rpc)
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("policy", ["cdp", "cdp-full", "cplx:0", "cplx:50"])
+    def test_policies_place_overflowing_total(self, policy):
+        costs = np.array([1e308] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = get_policy(policy).place(costs, 2).assignment
+        want = get_policy(policy).place(scaled_down(costs), 2).assignment
+        assert got.tolist() == want.tolist()
+        assert sorted(set(got.tolist())) == [0, 1]
+
+    def test_same_assignment_under_python_O(self):
+        """``python -O`` strips asserts; CDP must not depend on them."""
+        script = (
+            "import numpy as np\n"
+            "from repro.core import get_policy\n"
+            "for p in ('cdp', 'cdp-full', 'cplx:0', 'cplx:50'):\n"
+            "    print(p, get_policy(p).place(np.array([1e308] * 3), 2)"
+            ".assignment.tolist())\n"
+            "print(get_policy('cplx:50').place(np.full(3000, 1e306), 1024)"
+            ".assignment.tolist())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [
+            subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for flags in ([], ["-O"])
+        ]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestGoldenCounts:

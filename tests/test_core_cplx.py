@@ -94,13 +94,7 @@ class TestEndpoints:
         every rank is selected and the whole pool is re-placed."""
         got = CPLX(x_percent=100).place(costs, r).assignment
         assert np.array_equal(got, LPTPolicy().place(costs, r).assignment)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                counts = chunked_cdp_counts(costs, r, ranks_per_chunk=512)
-        except AssertionError:
-            # The CDP stage cannot run once the prefix sums overflow.
-            assert not np.isfinite(np.cumsum(costs)[-1])
-            return
+        counts = chunked_cdp_counts(costs, r, ranks_per_chunk=512)
         staged = assignment_from_counts(counts)
         if costs.size and r >= 2:
             loads = np.bincount(staged, weights=costs, minlength=r)

@@ -385,6 +385,43 @@ class TestCheckpointStores:
         with pytest.raises(CorruptTelemetryError, match="version"):
             store.load()
 
+    def test_tracker_state_roundtrips_bit_for_bit(
+        self, tmp_path, epochs128, cluster128
+    ):
+        mem = MemoryCheckpointStore()
+        _crashy_run(epochs128, cluster128, mem)
+        ckpt = mem.load()
+        keys, values, dim = ckpt.tracker_state
+        assert dim == 3 and keys.shape[0] > 0
+        # Awkward floats and int64-extreme keys survive JSON exactly.
+        odd = np.array([0.1 + 0.2, 5e-324, 1.7976931348623157e308, 0.0, 1 / 3])
+        wide = np.array([0, 1, 2**62 - 1, 2**62 + 7, 2**63 - 1], dtype=np.int64)
+        for state in (ckpt.tracker_state, (wide, odd, 2)):
+            store = DirectoryCheckpointStore(tmp_path / f"ck{state[2]}")
+            store.save(dataclasses.replace(ckpt, tracker_state=state))
+            got_keys, got_values, got_dim = store.load().tracker_state
+            assert got_keys.dtype == np.int64 and got_values.dtype == np.float64
+            assert got_keys.tobytes() == np.asarray(state[0]).tobytes()
+            assert got_values.tobytes() == np.asarray(state[1]).tobytes()
+            assert got_dim == state[2]
+
+    def test_version_1_snapshot_rejected(self, tmp_path, epochs128, cluster128):
+        """A snapshot in the old ``BlockIndex``-string tracker encoding."""
+        import json
+
+        from repro.resilience.checkpoint import _meta_digest
+
+        store = DirectoryCheckpointStore(tmp_path / "ck", keep=1)
+        _crashy_run(epochs128, cluster128, store)
+        snap = self._newest_snapshot(tmp_path / "ck")
+        meta = json.loads((snap / "meta.json").read_text())
+        meta["version"] = 1
+        meta["tracker"] = {"0|0,0,0": 1.0, "1|1,0,1": 2.5}
+        meta["digest"] = _meta_digest(meta)
+        (snap / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptTelemetryError, match="version 1 != 2"):
+            store.load()
+
     def test_truncated_table_falls_back(self, tmp_path, epochs128, cluster128):
         store = DirectoryCheckpointStore(tmp_path / "ck", keep=3)
         _crashy_run(epochs128, cluster128, store)

@@ -334,6 +334,40 @@ class TestZeroCountSweeps:
             spec_from_params("sedov", {"steps": 0})
 
 
+class TestBadSweepGrids:
+    """Empty or out-of-range sweep grids fail when the config is built,
+    not inside a cell (or with an empty table)."""
+
+    @pytest.mark.parametrize("kind,params,match", [
+        ("scalebench", {"scales": [0]}, "scales must be >= 1"),
+        ("scalebench", {"scales": [-4]}, "scales must be >= 1"),
+        ("scalebench", {"scales": []}, "scales must not be empty"),
+        ("scalebench", {"x_values": [150]}, r"X values must be in \[0, 100\]"),
+        ("scalebench", {"x_values": [-5]}, r"X values must be in \[0, 100\]"),
+        ("scalebench", {"x_values": []}, "x_values must not be empty"),
+        ("scalebench", {"distributions": []}, "distributions must not be empty"),
+        ("sedov", {"scales": []}, "scales must not be empty"),
+        ("sedov", {"policies": []}, "policies must not be empty"),
+        ("sedov", {"policies": ["baseline", "bogus"]}, "unknown policy 'bogus'"),
+        ("sedov", {"policies": ["cplx:150"]}, r"X must be in \[0, 100\]"),
+    ])
+    def test_rejected_by_spec_from_params(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            spec_from_params(kind, params)
+
+    def test_sedov_scales_not_checked_against_table_i(self):
+        # A scale without a Table I geometry still fails inside its cell.
+        assert spec_from_params("sedov", {"scales": [256]}).config.scales == (256,)
+
+    def test_serve_submit_answers_not_ok(self, live_service):
+        svc = live_service()
+        with svc.client() as c:
+            with pytest.raises(ServiceError, match="scales must be >= 1") as exc:
+                c.submit("scalebench", {"scales": [0]})
+            assert exc.value.response["ok"] is False
+            assert c.tenant_status("default")["jobs"] == []
+
+
 class TestRunnerAllCellsFailed:
     def test_supervised_sedov_fails_with_first_cell_error(self):
         """Every cell quarantined: the job fails with the first cell's
