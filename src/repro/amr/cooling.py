@@ -95,16 +95,16 @@ class CoolingWorkload:
             centers = mesh.centers()
             levels = mesh.levels()
             width0 = 1.0  # level-0 block width in domain units
-            tags = RefinementTags()
+            refine = []
             for i in range(mesh.n_blocks):
                 if levels[i] >= cfg.max_level:
                     continue
                 d = np.linalg.norm(self._blobs - centers[i], axis=1).min()
                 if d < cfg.blob_radius * width0 / (2.0 ** levels[i]):
-                    tags.refine.add(mesh.blocks[i])
-            if not tags.refine:
+                    refine.append(i)
+            if not refine:
                 break
-            mesh.remesh(tags)
+            mesh.remesh(RefinementTags(refine=mesh.keys()[refine]))
         return mesh
 
     def _costs(self, mesh: AmrMesh, t_frac: float) -> np.ndarray:

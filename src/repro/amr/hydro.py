@@ -28,6 +28,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..mesh.geometry import BlockIndex
+from ..mesh.keys import block_keys
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
 
@@ -341,15 +342,15 @@ class EulerSolver2D:
             gy = np.abs(np.diff(field, axis=1)).max(initial=0.0)
             return max(gx, gy) / max(float(field.mean()), 1e-12)
 
-        tags = RefinementTags()
+        refine, coarsen = [], []
         for b, U in self.data.items():
             rho, _, _, p = _primitives(U, self.gamma)
             rel = max(rel_gradient(rho), rel_gradient(p))
             if rel > threshold and b.level < self.mesh.forest.max_level:
-                tags.refine.add(b)
+                refine.append(b)
             elif rel < coarsen_below and b.level > 0:
-                tags.coarsen.add(b)
-        return tags
+                coarsen.append(b)
+        return RefinementTags(block_keys(refine), block_keys(coarsen))
 
     def adapt(self, threshold: float = 0.25, coarsen_below: float = 0.05) -> Tuple[int, int]:
         """Remesh on gradient tags and transfer state to the new leaves.

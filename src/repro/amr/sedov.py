@@ -196,25 +196,51 @@ class SedovWorkload:
     def __init__(self, config: SedovConfig) -> None:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
+        self._shell_cache: Tuple[AmrMesh, int, Tuple[np.ndarray, ...]] | None = None
 
     # ------------------------------------------------------------------ #
 
-    def _block_shell_distance(
-        self, mesh: AmrMesh, r: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-block (d_min, d_max): box distance range to the shock sphere.
+    def _shell_geometry(self, mesh: AmrMesh) -> Tuple[np.ndarray, ...]:
+        """The r-independent part of :meth:`_tags`, cached per mesh generation.
 
-        ``d_min <= 0 <= d_max`` means the shock surface crosses the block.
-        Distances are signed relative to the sphere: negative = inside.
+        Per block: box distances ``(d_near, d_far)`` from the domain
+        center to the closest and farthest point of its own box, the same
+        for its parent box, the refine and coarsen bands, and the
+        refinable / coarsenable masks.
         """
+        cached = self._shell_cache
+        if cached is not None and cached[0] is mesh and cached[1] == mesh.generation:
+            return cached[2]
+        cfg = self.config
         lo, hi = mesh.bounds()
-        center = np.asarray(self.config.domain) / 2.0
-        # Closest / farthest point of each box to the center.
-        closest = np.clip(center, lo, hi)
-        d_near = np.linalg.norm(closest - center, axis=1)
-        corner = np.where(np.abs(lo - center) > np.abs(hi - center), lo, hi)
-        d_far = np.linalg.norm(corner - center, axis=1)
-        return d_near - r, d_far - r
+        levels = mesh.levels()
+        center = np.asarray(cfg.domain) / 2.0
+
+        def box_distances(lo, hi):
+            # Closest / farthest point of each box to the center.
+            closest = np.clip(center, lo, hi)
+            near = np.linalg.norm(closest - center, axis=1)
+            corner = np.where(np.abs(lo - center) > np.abs(hi - center), lo, hi)
+            return near, np.linalg.norm(corner - center, axis=1)
+
+        width0 = min(cfg.domain) / min(cfg.root_shape)  # level-0 physical width
+        own_w = width0 / (2.0**levels)
+        child_w = own_w / 2.0
+        # Parent boxes, from own box + coords parity.
+        coords, _ = mesh._geometry()
+        parity = (coords & 1).astype(np.float64)
+        p_lo = lo - parity * own_w[:, None]
+        p_hi = p_lo + 2.0 * own_w[:, None]
+        geometry = (
+            *box_distances(lo, hi),
+            *box_distances(p_lo, p_hi),
+            cfg.refine_width * child_w,
+            cfg.coarsen_width * 2.0 * own_w,
+            levels < cfg.max_level,
+            levels > 0,
+        )
+        self._shell_cache = (mesh, mesh.generation, geometry)
+        return geometry
 
     def _tags(self, mesh: AmrMesh, r: float) -> RefinementTags:
         """Refinement tags for shock radius ``r`` (vectorized).
@@ -224,42 +250,19 @@ class SedovWorkload:
         lies entirely outside the shell with ``coarsen_width`` parent
         widths of hysteresis — evaluating on the parent tags complete
         sibling sets, which is what :func:`apply_tags` can actually
-        merge.
+        merge.  Distances are signed relative to the sphere (negative =
+        inside), so each probe costs one subtraction of ``r`` per
+        distance on the cached :meth:`_shell_geometry`.
         """
-        cfg = self.config
-        d_lo, d_hi = self._block_shell_distance(mesh, r)
-        levels = mesh.levels()
-        blocks = mesh.blocks
-        width0 = min(cfg.domain) / min(cfg.root_shape)  # level-0 physical width
-        own_w = width0 / (2.0**levels)
-        child_w = own_w / 2.0
-
-        refine_band = cfg.refine_width * child_w
-        crosses = (d_lo <= refine_band) & (d_hi >= -refine_band)
-        can_refine = levels < cfg.max_level
-
-        # Parent-box shell distances, from own box + coords parity.
-        coords, _ = mesh._geometry()
-        lo, hi = mesh.bounds()
-        parity = (coords & 1).astype(np.float64)
-        p_lo = lo - parity * own_w[:, None]
-        p_hi = p_lo + 2.0 * own_w[:, None]
-        center = np.asarray(cfg.domain) / 2.0
-        closest = np.clip(center, p_lo, p_hi)
-        pd_near = np.linalg.norm(closest - center, axis=1) - r
-        corner = np.where(np.abs(p_lo - center) > np.abs(p_hi - center), p_lo, p_hi)
-        pd_far = np.linalg.norm(corner - center, axis=1) - r
-
-        coarsen_band = cfg.coarsen_width * 2.0 * own_w
-        parent_far = (pd_near > coarsen_band) | (pd_far < -coarsen_band)
-        can_coarsen = levels > 0
-
-        tags = RefinementTags()
-        for i in np.nonzero(crosses & can_refine)[0]:
-            tags.refine.add(blocks[i])
-        for i in np.nonzero(parent_far & can_coarsen & ~crosses)[0]:
-            tags.coarsen.add(blocks[i])
-        return tags
+        (d_near, d_far, pd_near, pd_far, refine_band, coarsen_band,
+         can_refine, can_coarsen) = self._shell_geometry(mesh)
+        crosses = (d_near - r <= refine_band) & (d_far - r >= -refine_band)
+        parent_far = (pd_near - r > coarsen_band) | (pd_far - r < -coarsen_band)
+        keys = mesh.keys()
+        return RefinementTags(
+            refine=keys[crosses & can_refine],
+            coarsen=keys[parent_far & can_coarsen & ~crosses],
+        )
 
     def _epoch_costs(self, mesh: AmrMesh, r: float) -> np.ndarray:
         """True per-block kernel cost for an epoch.
@@ -314,7 +317,7 @@ class SedovWorkload:
                     probe = total
                     break
                 tags = self._tags(mesh, cfg.shock_radius(probe))
-                if tags.refine or tags.coarsen:
+                if tags.refine.size or tags.coarsen.size:
                     nr, nc = mesh.remesh(tags)
                     if nr or nc:
                         break

@@ -2,9 +2,9 @@
 
 :class:`AmrMesh` is the object the rest of the library works with: it
 owns the octree forest, caches the SFC-ordered leaf list, its geometry
-and packed block keys, and the neighbor graph (all invalidated on
-mutation), and exposes the refinement entry point used by the
-simulation driver.
+(coords, levels, physical boxes), packed block keys with their sorted
+lookup table, and the neighbor graph (all invalidated on mutation), and
+exposes the refinement entry point used by the simulation driver.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .geometry import BlockIndex, RootGrid
-from .fast_neighbors import build_neighbor_graph_fast
-from .keys import pack_keys
+from .fast_neighbors import neighbor_graph_of_keys
+from .keys import KeyTable, pack_keys
 from .neighbors import NeighborGraph
 from .octree import OctreeForest
 from .refinement import RefinementTags, apply_tags, tag_by_predicate
@@ -65,6 +65,9 @@ class AmrMesh:
         self._coords: np.ndarray | None = None
         self._levels: np.ndarray | None = None
         self._keys: np.ndarray | None = None
+        self._table: KeyTable | None = None
+        self._bounds: Tuple[np.ndarray, np.ndarray] | None = None
+        self._centers: np.ndarray | None = None
         self._id_of: Dict[BlockIndex, int] | None = None
         self.generation = 0  # bumped on every structural change
 
@@ -91,12 +94,15 @@ class AmrMesh:
     def neighbor_graph(self) -> NeighborGraph:
         """Neighbor graph over SFC-ordered blocks; cached.
 
-        Built by the vectorized builder: :meth:`remesh` keeps the forest
-        2:1 balanced, so a forest unbalanced behind the mesh's back
-        raises :class:`~repro.mesh.fast_neighbors.UnbalancedForestError`.
+        Built by the vectorized builder from the cached geometry and key
+        table: :meth:`remesh` keeps the forest 2:1 balanced, so a forest
+        unbalanced behind the mesh's back raises
+        :class:`~repro.mesh.fast_neighbors.UnbalancedForestError`.
         """
         if self._graph is None:
-            self._graph = build_neighbor_graph_fast(self.forest)
+            self._graph = neighbor_graph_of_keys(
+                self.root, self.blocks, *self._geometry(), self.key_table()
+            )
         return self._graph
 
     def block_id(self, idx: BlockIndex) -> int:
@@ -131,21 +137,36 @@ class AmrMesh:
             self._keys = pack_keys(*self._geometry())
         return self._keys
 
+    def key_table(self) -> KeyTable:
+        """:meth:`keys` sorted for probe lookups; cached."""
+        if self._table is None:
+            self._table = KeyTable(self.keys())
+        return self._table
+
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Physical ``(lo, hi)`` boxes per block in SFC order (vectorized)."""
-        coords, levels = self._geometry()
-        domain = np.asarray(self.domain_size)
-        ext = np.asarray(self.root.shape, dtype=np.float64) * (
-            2.0 ** levels[:, None]
-        )
-        width = domain / ext
-        lo = coords * width
-        return lo, lo + width
+        """Physical ``(lo, hi)`` boxes per block in SFC order; cached,
+        read-only."""
+        if self._bounds is None:
+            coords, levels = self._geometry()
+            domain = np.asarray(self.domain_size)
+            ext = np.asarray(self.root.shape, dtype=np.float64) * (
+                2.0 ** levels[:, None]
+            )
+            width = domain / ext
+            lo = coords * width
+            hi = lo + width
+            lo.flags.writeable = hi.flags.writeable = False
+            self._bounds = (lo, hi)
+        return self._bounds
 
     def centers(self) -> np.ndarray:
-        """Physical center coordinates per block in SFC order, ``(n, dim)``."""
-        lo, hi = self.bounds()
-        return 0.5 * (lo + hi)
+        """Physical center coordinates per block in SFC order, ``(n, dim)``;
+        cached, read-only."""
+        if self._centers is None:
+            lo, hi = self.bounds()
+            self._centers = 0.5 * (lo + hi)
+            self._centers.flags.writeable = False
+        return self._centers
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -157,6 +178,9 @@ class AmrMesh:
         self._coords = None
         self._levels = None
         self._keys = None
+        self._table = None
+        self._bounds = None
+        self._centers = None
         self._id_of = None
         self.generation += 1
 
@@ -167,7 +191,7 @@ class AmrMesh:
         A remesh that changes the forest drops every cached derived
         structure; the next access rebuilds it.
         """
-        n_ref, n_coarse = apply_tags(self.forest, tags)
+        n_ref, n_coarse = apply_tags(self.forest, self.key_table(), tags)
         if n_ref or n_coarse:
             self._invalidate()
         return n_ref, n_coarse

@@ -5,17 +5,34 @@ solution gradient) exceeds a threshold, and for coarsening when a region
 becomes smooth (paper §II-B).  Applying raw tags can violate the *2:1
 balance* invariant — adjacent leaves differing by more than one
 refinement level — which block-based codes require so each face abuts at
-most ``2^(dim-1)` neighbors.  This module converts tags into a legal
+most ``2^(dim-1)`` neighbors.  This module converts tags into a legal
 sequence of refine/coarsen operations.
+
+Tags, the balance closure and the coarsen-safety check work on packed
+``int64`` block keys (:mod:`repro.mesh.keys`) resolved in batches
+against the leaf :class:`~repro.mesh.keys.KeyTable`; only the keys that
+change are unpacked to refine or coarsen the forest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Set, Tuple
+import itertools
+from typing import Callable, Tuple
+
+import numpy as np
 
 from .geometry import BlockIndex
-from .neighbors import find_neighbors
+from .keys import (
+    KeyTable,
+    block_keys,
+    blocks_of_keys,
+    key_levels,
+    neighbor_probes,
+    parent_keys,
+    unpack_keys,
+)
+from .neighbors import _directions, find_neighbors
 from .octree import OctreeForest
 
 __all__ = [
@@ -26,22 +43,39 @@ __all__ = [
 ]
 
 
+def _no_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (a plain sort: faster than ``np.unique``'s
+    hashing on key arrays)."""
+    keys = np.sort(keys)
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 @dataclasses.dataclass
 class RefinementTags:
-    """Sets of leaves tagged for refinement and coarsening.
+    """Packed keys of leaves tagged for refinement and coarsening.
 
     Tags are advisory: :func:`apply_tags` drops coarsening tags that
     would break sibling completeness or 2:1 balance, and adds refinement
     beyond the tag set where balance requires it.
     """
 
-    refine: Set[BlockIndex] = dataclasses.field(default_factory=set)
-    coarsen: Set[BlockIndex] = dataclasses.field(default_factory=set)
+    refine: np.ndarray = dataclasses.field(default_factory=_no_keys)
+    coarsen: np.ndarray = dataclasses.field(default_factory=_no_keys)
 
     def __post_init__(self) -> None:
-        overlap = self.refine & self.coarsen
-        if overlap:
-            raise ValueError(f"blocks tagged both refine and coarsen: {overlap}")
+        self.refine = np.asarray(self.refine, dtype=np.int64).reshape(-1)
+        self.coarsen = np.asarray(self.coarsen, dtype=np.int64).reshape(-1)
+        overlap = np.isin(self.refine, self.coarsen)
+        if overlap.any():
+            raise ValueError(
+                f"keys tagged both refine and coarsen: {self.refine[overlap]}"
+            )
 
 
 def is_two_one_balanced(forest: OctreeForest) -> bool:
@@ -53,113 +87,115 @@ def is_two_one_balanced(forest: OctreeForest) -> bool:
     return True
 
 
+def _coarser_neighbors(
+    forest: OctreeForest, table: KeyTable, keys: np.ndarray
+) -> np.ndarray:
+    """Sorted keys of the leaves one level coarser than, and adjacent
+    to, the given leaves: the probes' parents found in the table."""
+    dim = forest.dim
+    coords, levels = unpack_keys(keys, dim)
+    offsets = np.asarray(_directions(dim), dtype=np.int64)
+    _, _, probes = neighbor_probes(forest.root, coords, levels, offsets)
+    probes = probes[key_levels(probes) > 0]
+    found = table.find(parent_keys(probes, dim))
+    return _unique(table.keys[found[found >= 0]])
+
+
 def enforce_two_one_balance(
-    forest: OctreeForest, to_refine: Set[BlockIndex]
-) -> Set[BlockIndex]:
+    forest: OctreeForest, table: KeyTable, to_refine: np.ndarray
+) -> np.ndarray:
     """Close a refinement set under the 2:1 balance constraint.
 
-    Given leaves already selected for refinement, returns a superset such
-    that refining all of them leaves the forest 2:1 balanced.  Uses the
-    standard ripple propagation: refining a block at level ``L`` forces
-    any neighboring leaf at level ``L-1`` or coarser to refine too, which
-    may cascade.
-
-    Each touched block is probed exactly once (a visited set covers
-    blocks that can never enter the result, e.g. max-level leaves
-    repeatedly rediscovered by their neighbors), and probes share one
-    depth limit, so closure cost is linear in the touched region rather
-    than O(touched x n).
+    ``table`` holds the forest's leaf keys and ``to_refine`` the keys
+    selected for refinement (keys that are not leaves are ignored).
+    Returns the sorted keys of a superset such that refining all of them
+    leaves the forest 2:1 balanced.  Uses the standard ripple
+    propagation: refining a block at level ``L`` forces any neighboring
+    leaf at level ``L-1`` to refine too, which may cascade.  Each round
+    probes the whole frontier in one batch; a block enters the frontier
+    at most once, and max-level blocks neither refine nor propagate.
 
     The input forest must already be 2:1 balanced.
     """
-    result: Set[BlockIndex] = set()
-    seen: Set[BlockIndex] = set()
-    depth_limit = forest.max_level
-    # Effective level of each region after refinement = leaf level + 1 if
-    # refined.  Work queue of blocks whose refinement may force neighbors.
-    queue: List[BlockIndex] = [b for b in to_refine if b in forest]
-    pending = set(queue)
-    while queue:
-        b = queue.pop()
-        pending.discard(b)
-        if b in seen:
-            continue
-        seen.add(b)
-        if b.level >= forest.max_level:
-            continue
-        result.add(b)
-        # After refining b, its children are at b.level + 1.  Any leaf
-        # neighbor at level <= b.level - 1 would now differ by >= 2.
-        for nb in find_neighbors(forest, b, depth_limit=depth_limit):
-            if nb.level < b.level and nb not in seen and nb not in pending:
-                pending.add(nb)
-                queue.append(nb)
-    return result
+    frontier = _unique(np.asarray(to_refine, dtype=np.int64))
+    frontier = frontier[table.find(frontier) >= 0]
+    seen = frontier
+    rounds = [_no_keys()]
+    while frontier.size:
+        frontier = frontier[key_levels(frontier) < forest.max_level]
+        rounds.append(frontier)
+        frontier = np.setdiff1d(
+            _coarser_neighbors(forest, table, frontier), seen, assume_unique=True
+        )
+        seen = _unique(np.concatenate([seen, frontier]))
+    return _unique(np.concatenate(rounds))
 
 
-def _coarsen_is_safe(
-    forest: OctreeForest,
-    parent: BlockIndex,
-    refined: Set[BlockIndex],
-    coarsened_parents: Set[BlockIndex],
-) -> bool:
-    """Whether coarsening ``parent``'s children keeps 2:1 balance.
+def _ring_offsets(dim: int) -> np.ndarray:
+    """Offsets, from a parent's first child, of the child-level cells
+    around the parent (``{-1..2}^dim`` minus the children themselves)."""
+    ring = [
+        o for o in itertools.product((-1, 0, 1, 2), repeat=dim)
+        if any(v in (-1, 2) for v in o)
+    ]
+    return np.asarray(ring, dtype=np.int64)
 
-    The merged parent sits at ``parent.level``; every region adjacent to
-    it must end at level ``<= parent.level + 1``.  We check the *post-op*
-    level of each adjacent leaf: +1 if it is being refined, -1 if its
-    sibling set is being merged.
+
+def _coarsen_safe(
+    forest: OctreeForest, table: KeyTable, parents: np.ndarray, refine: np.ndarray
+) -> np.ndarray:
+    """Mask of candidate parents whose merge keeps 2:1 balance.
+
+    A parent at level ``L`` merges its children (leaves at ``L+1``); the
+    merge is unsafe if a leaf adjacent to the parent ends up at level
+    ``L+2`` or finer: a neighbor already at ``L+2`` (its child-level
+    cell does not resolve at ``L+1`` or ``L``), or one at ``L+1`` that is
+    being refined.  Other merges cannot rescue a verdict: a neighbor at
+    ``L+2`` only coarsens through a parent at ``L+1``, never a
+    candidate checked before this one in ``(level, coords)`` order, so
+    all candidates are checked in one pass.
     """
-    children = parent.children()
-    depth_limit = forest.max_level
-    for child in children:
-        for nb in find_neighbors(forest, child, depth_limit=depth_limit):
-            if nb in children:
-                continue
-            lvl = nb.level
-            if nb in refined:
-                lvl += 1
-            elif nb.level > 0 and nb.parent() in coarsened_parents:
-                lvl -= 1
-            if lvl - parent.level > 1:
-                return False
-    return True
+    dim = forest.dim
+    coords, levels = unpack_keys(parents, dim)
+    src, _, probes = neighbor_probes(
+        forest.root, coords << 1, levels + 1, _ring_offsets(dim)
+    )
+    rows, leaves, unsafe = table.resolve(probes, dim)
+    hit = table.keys[leaves]
+    same_level = key_levels(hit) == key_levels(probes[rows])
+    unsafe[rows[same_level]] |= np.isin(hit[same_level], refine)
+    ok = np.ones(parents.shape[0], dtype=bool)
+    ok[src[unsafe]] = False
+    return ok
 
 
-def apply_tags(forest: OctreeForest, tags: RefinementTags) -> Tuple[int, int]:
+def apply_tags(
+    forest: OctreeForest, table: KeyTable, tags: RefinementTags
+) -> Tuple[int, int]:
     """Apply tags to the forest in place; returns ``(n_refined, n_coarsened)``.
 
-    Refinement wins over coarsening: the refine set is first closed under
-    2:1 balance, then coarsening is applied only to full sibling sets
-    whose merge does not violate balance against the post-refinement mesh.
+    ``table`` holds the forest's leaf keys.  Refinement wins over
+    coarsening: the refine set is first closed under 2:1 balance, then
+    coarsening is applied only to full sibling sets none of which is
+    refined and whose merge does not violate balance against the
+    post-refinement mesh.
     """
-    refine = enforce_two_one_balance(forest, set(tags.refine))
+    dim = forest.dim
+    refine = enforce_two_one_balance(forest, table, tags.refine)
 
-    # Candidate coarsen parents: all 2^dim siblings tagged, none refined.
-    by_parent: Dict[BlockIndex, Set[BlockIndex]] = {}
-    for b in tags.coarsen:
-        if b in forest and b.level > 0 and b not in refine:
-            by_parent.setdefault(b.parent(), set()).add(b)
-    full = 1 << forest.dim
-    candidates = {
-        p for p, kids in by_parent.items()
-        if len(kids) == full and not any(k in refine for k in p.children())
-    }
+    # Candidate coarsen parents: all 2^dim children tagged, none refined.
+    kids = _unique(tags.coarsen)
+    kids = kids[(key_levels(kids) > 0) & (table.find(kids) >= 0)]
+    kids = kids[~np.isin(kids, refine)]
+    parents, counts = np.unique(parent_keys(kids, dim), return_counts=True)
+    parents = parents[counts == 1 << dim]
+    parents = parents[_coarsen_safe(forest, table, parents, refine)]
 
-    # Greedily accept merges that stay balanced (order-stable via sort).
-    accepted: Set[BlockIndex] = set()
-    for p in sorted(candidates, key=lambda x: (x.level, x.coords)):
-        if _coarsen_is_safe(forest, p, refine, accepted):
-            accepted.add(p)
-
-    refined = sorted(refine, key=lambda x: (x.level, x.coords))
-    coarsened = sorted(accepted, key=lambda x: (x.level, x.coords))
-
-    for b in refined:
+    for b in blocks_of_keys(refine, dim):
         forest.refine(b)
-    for p in coarsened:
+    for p in blocks_of_keys(parents, dim):
         forest.coarsen(p.children()[0])
-    return len(refined), len(coarsened)
+    return int(refine.shape[0]), int(parents.shape[0])
 
 
 def tag_by_predicate(
@@ -168,10 +204,10 @@ def tag_by_predicate(
     should_coarsen: Callable[[BlockIndex], bool] | None = None,
 ) -> RefinementTags:
     """Build tags from per-block predicates (refine wins on conflict)."""
-    tags = RefinementTags()
+    refine, coarsen = [], []
     for b in forest.leaves():
         if b.level < forest.max_level and should_refine(b):
-            tags.refine.add(b)
+            refine.append(b)
         elif should_coarsen is not None and b.level > 0 and should_coarsen(b):
-            tags.coarsen.add(b)
-    return tags
+            coarsen.append(b)
+    return RefinementTags(block_keys(refine), block_keys(coarsen))

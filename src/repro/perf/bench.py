@@ -6,7 +6,7 @@ Times the hot paths the repo's performance claims rest on —
   placement at several problem sizes (the Fig. 7c axis);
 * **mesh ops**: SFC block sort and neighbor-graph construction on a
   randomly refined octree, the production (vectorized) builder vs the
-  per-block reference builder measured in the same run;
+  per-block reference builder timed in alternating pairs;
 * **scalebench metadata**: one windowed placement pass at beyond-paper
   rank counts (128K+), timing per-window cost draws and the streamed
   makespan reduction;
@@ -23,6 +23,9 @@ Times the hot paths the repo's performance claims rest on —
   on-disk dataset (zone-map pruning + projection pushdown) vs the naive
   read-everything-then-filter scan, plus a full-dataset grouped
   aggregation (the Lesson-4 interactivity headline);
+* **remesh sequences**: commbench's many-small-remesh mesh build
+  (``random_refined_mesh``) and a reduced Sedov trajectory (tags,
+  remeshes and neighbor graphs per epoch);
 
 — and writes ``BENCH_core.json``: per-metric medians plus environment
 metadata, with derived speedup ratios.  :func:`compare_bench` gates a
@@ -33,7 +36,9 @@ regresses beyond it.
 Medians over several repeats (after a warmup) keep single-shot noise
 out of the gate; wall-clock metrics are still machine-dependent, so
 cross-machine comparisons need a generous tolerance while the derived
-ratios travel well.
+ratios travel well.  Ratios of two timings are taken over alternating
+pairs (:func:`_time_pairs`), so a noisy stretch of host time lands on
+both sides instead of on one.
 """
 
 from __future__ import annotations
@@ -138,21 +143,49 @@ POLICY_ARMS = ("lpt", "cdp", "cdp-chunked", "cplx:50")
 BLOCKS_PER_RANK = 2.25      #: scalebench's blocks-per-rank ratio
 
 
-def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
-    """Median-of-``repeats`` host seconds for ``fn`` (after warmup runs)."""
-    for _ in range(warmup):
-        fn()
-    times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+def _summary(times: List[float]) -> Dict:
+    """The per-metric record of a list of host-second samples."""
     return {
         "median_s": statistics.median(times),
         "min_s": min(times),
         "mean_s": statistics.fmean(times),
-        "repeats": repeats,
+        "repeats": len(times),
     }
+
+
+def _timed(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
+    """Median-of-``repeats`` host seconds for ``fn`` (after warmup runs)."""
+    for _ in range(warmup):
+        fn()
+    return _summary([_timed(fn) for _ in range(repeats)])
+
+
+def _time_pairs(
+    a: Callable[[], object], b: Callable[[], object], pairs: int, warmup: int = 1
+) -> Tuple[Dict, Dict, float]:
+    """Time ``a`` and ``b`` alternately (ABAB...) over ``pairs`` pairs.
+
+    Returns both sides' records and the median of the per-pair ratios
+    ``b / a``: host drift lands on both halves of a pair, and the median
+    discards outlier pairs, so one noisy stretch cannot swing the ratio
+    the way timing all of ``a`` and then all of ``b`` can.
+    """
+    for _ in range(warmup):
+        a()
+        b()
+    a_times: List[float] = []
+    b_times: List[float] = []
+    for _ in range(pairs):
+        a_times.append(_timed(a))
+        b_times.append(_timed(b))
+    ratio = statistics.median(tb / ta for ta, tb in zip(a_times, b_times))
+    return _summary(a_times), _summary(b_times), ratio
 
 
 #: environment variables that size the BLAS/OpenMP thread pools
@@ -266,18 +299,14 @@ def _bench_mesh(
     log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
     # Production builder vs the per-block reference builder (the test
-    # oracle), timed in the same run so the ratio does not depend on the
-    # host.
+    # oracle), timed in alternating pairs so the ratio does not depend on
+    # the host.
     prod = f"mesh.neighbor_graph.n{n}"
-    metrics[prod] = _time_case(
-        lambda: build_neighbor_graph_fast(mesh.forest), params["mesh_repeats"]
-    )
     ref = f"mesh.neighbor_graph_reference.n{n}"
-    metrics[ref] = _time_case(
-        lambda: build_neighbor_graph(mesh.forest), params["mesh_repeats"]
-    )
-    derived["mesh.neighbor_graph_speedup"] = (
-        metrics[ref]["median_s"] / metrics[prod]["median_s"]
+    metrics[prod], metrics[ref], derived["mesh.neighbor_graph_speedup"] = _time_pairs(
+        lambda: build_neighbor_graph_fast(mesh.forest),
+        lambda: build_neighbor_graph(mesh.forest),
+        params["mesh_repeats"],
     )
     log(
         f"neighbor graph: production {metrics[prod]['median_s'] * 1e3:.2f} ms, "
@@ -352,19 +381,16 @@ def _bench_epoch_loop(
     def run(config):
         return run_trajectory(get_policy("baseline"), epochs, cluster, config)
 
-    metrics["epoch.loop_uncached"] = _time_case(
-        lambda: run(uncached_cfg), params["epoch_repeats"]
-    )
-    metrics["epoch.loop_cached"] = _time_case(
-        lambda: run(cached_cfg), params["epoch_repeats"]
+    (
+        metrics["epoch.loop_cached"],
+        metrics["epoch.loop_uncached"],
+        derived["epoch.cache_speedup"],
+    ) = _time_pairs(
+        lambda: run(cached_cfg), lambda: run(uncached_cfg), params["epoch_repeats"]
     )
     summary = run(cached_cfg)
     hits, misses = summary.pattern_cache_hits, summary.pattern_cache_misses
     derived["epoch.cache_hit_rate"] = hits / max(hits + misses, 1)
-    derived["epoch.cache_speedup"] = (
-        metrics["epoch.loop_uncached"]["median_s"]
-        / metrics["epoch.loop_cached"]["median_s"]
-    )
     log(
         f"epoch loop: uncached {metrics['epoch.loop_uncached']['median_s']:.3f} s, "
         f"cached {metrics['epoch.loop_cached']['median_s']:.3f} s "
@@ -447,25 +473,7 @@ def _bench_executor(
         raise RuntimeError("supervised/bare executor results diverged")
     # Interleaved bare/supervised rounds, so host drift (thermal, other
     # tenants) lands on both sides rather than biasing one block.
-    bare_times: List[float] = []
-    sup_times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_bare()
-        bare_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_sup()
-        sup_times.append(time.perf_counter() - t0)
-
-    def summarize(times: List[float]) -> Dict:
-        return {
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "mean_s": statistics.fmean(times),
-            "repeats": repeats,
-        }
-
-    bare, sup = summarize(bare_times), summarize(sup_times)
+    bare, sup, _ = _time_pairs(run_bare, run_sup, repeats, warmup=0)
     key = f"c{len(cells)}j{jobs}"
     metrics[f"executor.bare_pool.{key}"] = bare
     metrics[f"executor.supervised.{key}"] = sup
@@ -544,13 +552,12 @@ def _bench_telemetry(
             )
 
         total = n_parts * rows
-        metrics[f"telemetry.query_pruned.n{total}"] = _time_case(pruned_query, repeats)
-        metrics[f"telemetry.query_fullscan.n{total}"] = _time_case(full_scan, repeats)
+        (
+            metrics[f"telemetry.query_pruned.n{total}"],
+            metrics[f"telemetry.query_fullscan.n{total}"],
+            derived["telemetry.pruning_speedup"],
+        ) = _time_pairs(pruned_query, full_scan, repeats)
         metrics[f"telemetry.groupagg.n{total}"] = _time_case(group_agg, repeats)
-        derived["telemetry.pruning_speedup"] = (
-            metrics[f"telemetry.query_fullscan.n{total}"]["median_s"]
-            / metrics[f"telemetry.query_pruned.n{total}"]["median_s"]
-        )
         from ..telemetry.engine import ExecutionReport
 
         report = ExecutionReport()
@@ -607,25 +614,7 @@ def _bench_service(
         raise RuntimeError("job-layer digest diverged from direct sweep")
     # Interleaved rounds, as in the executor benchmark, so host drift
     # lands on both sides.
-    direct_times: List[float] = []
-    job_times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_direct()
-        direct_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_job()
-        job_times.append(time.perf_counter() - t0)
-
-    def summarize(times: List[float]) -> Dict:
-        return {
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "mean_s": statistics.fmean(times),
-            "repeats": len(times),
-        }
-
-    direct, job = summarize(direct_times), summarize(job_times)
+    direct, job, _ = _time_pairs(run_direct, run_job, repeats, warmup=0)
     key = f"s{sp['steps']}p{len(sp['policies'])}"
     metrics[f"service.direct_sweep.{key}"] = direct
     metrics[f"service.job_runner.{key}"] = job
@@ -663,17 +652,8 @@ def _bench_service(
         with live_service(journal_root=os.path.join(root, "svc")) as service:
             with ServiceClient(*service.address) as client:
                 client.ping()  # warmup
-                ping_times: List[float] = []
-                for _ in range(sp["rpc_repeats"]):
-                    t0 = time.perf_counter()
-                    client.ping()
-                    ping_times.append(time.perf_counter() - t0)
-    metrics["service.rpc_ping"] = {
-        "median_s": statistics.median(ping_times),
-        "min_s": min(ping_times),
-        "mean_s": statistics.fmean(ping_times),
-        "repeats": sp["rpc_repeats"],
-    }
+                ping_times = [_timed(client.ping) for _ in range(sp["rpc_repeats"])]
+    metrics["service.rpc_ping"] = _summary(ping_times)
 
     # Durable-store tax: the same submit -> result round trips through
     # a live service with and without ``--state``.  The write-ahead
@@ -691,14 +671,10 @@ def _bench_service(
     job_params = {"scales": [512], "steps": sp["jobstore_steps"],
                   "policies": list(sp["policies"])}
 
-    def submit_and_wait(client: ServiceClient) -> float:
-        t0 = time.perf_counter()
+    def submit_and_wait(client: ServiceClient) -> None:
         job_id = client.submit("sedov", job_params, tenant="bench")
         client.result(job_id, timeout_s=600)
-        return time.perf_counter() - t0
 
-    inmem_times: List[float] = []
-    store_times: List[float] = []
     with tempfile.TemporaryDirectory() as root:
         with live_service(
             journal_root=os.path.join(root, "svc-mem"),
@@ -708,18 +684,15 @@ def _bench_service(
         ) as durable:
             with ServiceClient(*plain.address) as c_mem, \
                     ServiceClient(*durable.address) as c_dur:
-                submit_and_wait(c_mem)  # warmup both paths
-                submit_and_wait(c_dur)
-                for _ in range(sp["jobstore_pairs"]):
-                    inmem_times.append(submit_and_wait(c_mem))
-                    store_times.append(submit_and_wait(c_dur))
-    inmem, store = summarize(inmem_times), summarize(store_times)
+                inmem, store, store_ratio = _time_pairs(
+                    lambda: submit_and_wait(c_mem),
+                    lambda: submit_and_wait(c_dur),
+                    sp["jobstore_pairs"],
+                )
     jkey = f"s{sp['jobstore_steps']}p{len(sp['policies'])}"
     metrics[f"service.submit_inmem.{jkey}"] = inmem
     metrics[f"service.submit_jobstore.{jkey}"] = store
-    derived["service.jobstore_overhead_ratio"] = statistics.median(
-        s / m for m, s in zip(inmem_times, store_times)
-    )
+    derived["service.jobstore_overhead_ratio"] = store_ratio
     log(
         f"service ({sp['steps']} steps, {len(sp['policies'])} policies): "
         f"direct {direct['min_s'] * 1e3:.1f} ms, "
@@ -731,6 +704,40 @@ def _bench_service(
         f"({derived['service.jobstore_overhead_ratio']:.3f}x median "
         f"of {sp['jobstore_pairs']} pairs)"
     )
+
+
+def _bench_remesh(
+    params: Dict, metrics: Dict, derived: Dict, log: Callable[[str], None]
+) -> None:
+    """Whole remesh sequences: commbench's mesh build and a Sedov trajectory.
+
+    Registered last: these kernels free multi-megabyte arrays, which
+    raises glibc's mmap threshold for the rest of the process; the
+    telemetry full scan then allocates without page faults, and its
+    pruning ratio fell from 5-9x to 2-3x when these kernels ran before
+    it.
+    """
+    from ..amr.sedov import SedovWorkload, scaled_config
+    from ..bench.commbench import random_refined_mesh
+
+    n_ranks, per_rank = params["mesh_ranks"], params["mesh_blocks_per_rank"]
+    # Many small remeshes on a growing mesh: the shape where a per-remesh
+    # O(n) rebuild costs most.
+    metric = f"mesh.random_refined_mesh.r{n_ranks}"
+    metrics[metric] = _time_case(
+        lambda: random_refined_mesh(n_ranks, per_rank, np.random.default_rng(7)),
+        params["mesh_repeats"],
+    )
+    log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
+
+    # 300 steps: the shock schedule spans ``t_total``, so the run covers
+    # the whole expansion and every remesh of the default trajectory.
+    config = scaled_config(512, steps=300)
+    metric = "mesh.sedov_trajectory.s300"
+    metrics[metric] = _time_case(
+        lambda: SedovWorkload(config).full_trajectory(), params["mesh_repeats"]
+    )
+    log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
 
 # ---------------------------------------------------------------------- #
@@ -752,6 +759,7 @@ SECTIONS: Tuple[Tuple[str, Callable], ...] = (
     ("executor", _bench_executor),
     ("telemetry", _bench_telemetry),
     ("service", _bench_service),
+    ("remesh", _bench_remesh),
 )
 
 

@@ -12,10 +12,10 @@ The cache key is a SHA-256 over:
 * the config's dataclass ``repr`` (every field, seed included);
 * the optional ``max_steps`` truncation;
 * a *code version*: the package version plus a digest of the source of
-  every module the trajectory depends on (sedov workload, mesh, octree,
-  refinement, neighbor discovery, SFC, geometry).  Any edit to those
-  files changes the key, so a stale cache can never leak across code
-  changes.
+  every module the trajectory depends on (:data:`TRAJECTORY_MODULES`:
+  the sedov workload and every ``repro.mesh`` module it loads).  Any
+  edit to those files changes the key, so a stale cache can never leak
+  across code changes.
 
 The cache is **opt-in**: it activates only when a directory is passed
 explicitly or the ``REPRO_TRAJ_CACHE`` environment variable names one.
@@ -26,6 +26,7 @@ malformed entries fall back to regeneration.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import inspect
 import os
 import pickle
@@ -37,6 +38,7 @@ from .. import __version__
 from ..amr.sedov import SedovConfig, SedovEpoch, SedovWorkload
 
 __all__ = [
+    "TRAJECTORY_MODULES",
     "cached_full_trajectory",
     "prune_trajectory_cache",
     "trajectory_cache_path",
@@ -50,17 +52,29 @@ CACHE_ENV = "REPRO_TRAJ_CACHE"
 _code_version_memo: Optional[str] = None
 
 
+#: Modules whose source keys the cache: everything trajectory
+#: generation loads from ``repro.mesh``, plus the workload itself.
+TRAJECTORY_MODULES = (
+    "repro.amr.sedov",
+    "repro.mesh.mesh",
+    "repro.mesh.octree",
+    "repro.mesh.refinement",
+    "repro.mesh.neighbors",
+    "repro.mesh.fast_neighbors",
+    "repro.mesh.keys",
+    "repro.mesh.sfc",
+    "repro.mesh.hilbert",
+    "repro.mesh.geometry",
+)
+
+
 def _code_version() -> str:
     """Digest of the trajectory-generating code (plus package version)."""
     global _code_version_memo
     if _code_version_memo is None:
-        from ..amr import sedov
-        from ..mesh import fast_neighbors, geometry, mesh, neighbors, octree, refinement, sfc
-
         h = hashlib.sha256(__version__.encode())
-        for mod in (sedov, mesh, octree, refinement, neighbors,
-                    fast_neighbors, sfc, geometry):
-            h.update(inspect.getsource(mod).encode())
+        for name in TRAJECTORY_MODULES:
+            h.update(inspect.getsource(importlib.import_module(name)).encode())
         _code_version_memo = h.hexdigest()
     return _code_version_memo
 

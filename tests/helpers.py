@@ -11,7 +11,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.mesh.geometry import RootGrid
+from repro.mesh.keys import KeyTable, block_keys
 from repro.mesh.octree import OctreeForest
+from repro.mesh.refinement import RefinementTags
 
 
 #: one zero, subnormal, ordinary or huge magnitude; huge ones overflow
@@ -92,6 +94,17 @@ def random_forest(seed: int, n_ops: int = 12, dim: int = 2) -> OctreeForest:
             if candidates:
                 forest.coarsen(candidates[int(rng.integers(len(candidates)))])
     return forest
+
+
+def block_tags(refine=(), coarsen=()) -> RefinementTags:
+    """Tags given as :class:`~repro.mesh.BlockIndex` collections."""
+    return RefinementTags(block_keys(refine), block_keys(coarsen))
+
+
+def leaf_table(forest: OctreeForest) -> KeyTable:
+    """The leaf key table a bare forest's remesh calls take (an
+    :class:`~repro.mesh.AmrMesh` caches its own)."""
+    return KeyTable(block_keys(forest.leaves()))
 
 
 def random_edges(rng: np.random.Generator, n_blocks: int, factor: int = 2) -> np.ndarray:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import BlockCostTracker, carry_assignment_keys
-from repro.mesh import AmrMesh, BlockIndex, RefinementTags, RootGrid, block_keys
+from repro.mesh import AmrMesh, BlockIndex, RootGrid, block_keys
+
+from tests.helpers import block_tags
 
 
 class DictTracker:
@@ -91,7 +93,7 @@ def random_tags(mesh, rng):
         b for b in leaves
         if b.level > 0 and b not in refine and rng.random() < 0.5
     }
-    return RefinementTags(refine=refine, coarsen=coarsen)
+    return block_tags(refine, coarsen)
 
 
 def history(seed, dim, n_epochs=5):

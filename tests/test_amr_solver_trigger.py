@@ -20,7 +20,7 @@ def uniform_mesh(periodic=True, blocks=4, cells=8):
 def refined_mesh():
     mesh = AmrMesh(RootGrid((2, 2), periodic=(True, True)), block_cells=8,
                    max_level=2, domain_size=(1.0, 1.0))
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+    mesh.remesh(RefinementTags(refine=mesh.keys()[:1]))
     return mesh
 
 
@@ -173,7 +173,7 @@ class TestSolver3D:
 
         mesh = AmrMesh(RootGrid((2, 2, 2), periodic=(True,) * 3),
                        block_cells=4, max_level=1)
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+        mesh.remesh(RefinementTags(refine=mesh.keys()[:1]))
         s = AdvectionSolver(mesh, velocity=(0.5, 0.3, 0.2))
         s.initialize(lambda x, y, z: np.full_like(x, 1.5))
         for _ in range(3):

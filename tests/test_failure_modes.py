@@ -114,7 +114,7 @@ class TestSolverMisuse:
                        max_level=1)
         s = AdvectionSolver(mesh)
         s.initialize(lambda x, y: x)
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+        mesh.remesh(RefinementTags(refine=mesh.keys()[:1]))
         with pytest.raises((KeyError, RuntimeError)):
             s.step()  # solver data lacks the new leaves
 

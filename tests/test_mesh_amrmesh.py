@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import AmrMesh, RefinementTags, RootGrid, block_bounds
+from repro.mesh import AmrMesh, RefinementTags, RootGrid, block_bounds, block_keys
 from repro.mesh.refinement import is_two_one_balanced
 
 
@@ -24,7 +24,7 @@ class TestGeometryCaches:
         blocks_before = list(mesh2d.blocks)
         gen = mesh2d.generation
         target = [b for b in mesh2d.blocks if b.level == 1][0]
-        mesh2d.remesh(RefinementTags(refine={target}))
+        mesh2d.remesh(RefinementTags(refine=block_keys([target])))
         assert mesh2d.generation == gen + 1
         assert list(mesh2d.blocks) != blocks_before
         assert mesh2d.levels().shape[0] == mesh2d.n_blocks
@@ -55,7 +55,7 @@ class TestFacade:
     def test_copy_independent(self, mesh2d):
         clone = mesh2d.copy()
         target = [b for b in mesh2d.blocks if b.level == 1][0]
-        mesh2d.remesh(RefinementTags(refine={target}))
+        mesh2d.remesh(RefinementTags(refine=block_keys([target])))
         assert clone.n_blocks != mesh2d.n_blocks
 
     def test_remesh_by_predicate(self):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import AmrMesh, RefinementTags, RootGrid, is_two_one_balanced
+from repro.mesh import AmrMesh, RootGrid, is_two_one_balanced
 from repro.mesh.fast_neighbors import (
     UnbalancedForestError,
     build_neighbor_graph_fast,
 )
 from repro.mesh.neighbors import build_neighbor_graph
 from repro.mesh.octree import OctreeForest
+
+from tests.helpers import block_tags
 
 
 def graphs_equal(g1, g2) -> bool:
@@ -38,7 +40,7 @@ def balanced_random_mesh(seed: int, dim: int = 2) -> AmrMesh:
             b for b in leaves
             if b.level > 0 and b not in refine and rng.random() < 0.3
         }
-        mesh.remesh(RefinementTags(refine=refine, coarsen=coarsen))
+        mesh.remesh(block_tags(refine, coarsen))
     return mesh
 
 

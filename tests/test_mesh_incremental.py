@@ -20,7 +20,10 @@ from repro.mesh import (
     build_neighbor_graph,
     is_two_one_balanced,
 )
-from repro.mesh.refinement import apply_tags, enforce_two_one_balance
+from repro.mesh.keys import blocks_of_keys
+from repro.mesh.refinement import enforce_two_one_balance
+
+from tests.helpers import block_tags, leaf_table
 
 
 def graphs_identical(g1, g2) -> bool:
@@ -68,7 +71,7 @@ def random_tags(mesh: AmrMesh, rng, p_refine=0.25, p_coarsen=0.25) -> Refinement
         b for b in leaves
         if b.level > 0 and b not in refine and rng.random() < p_coarsen
     }
-    return RefinementTags(refine=refine, coarsen=coarsen)
+    return block_tags(refine, coarsen)
 
 
 # ---------------------------------------------------------------------- #
@@ -80,10 +83,10 @@ class TestRemeshDelta:
     def test_unpacks_as_historical_tuple(self):
         mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
         target = mesh.blocks[0]
-        counts = mesh.remesh(RefinementTags(refine={target}))
+        counts = mesh.remesh(block_tags(refine=[target]))
         assert counts == (1, 0) and type(counts) is tuple
         # Coarsening the four children back merges one parent.
-        assert mesh.remesh(RefinementTags(coarsen=set(target.children()))) == (0, 1)
+        assert mesh.remesh(block_tags(coarsen=target.children())) == (0, 1)
         assert mesh.remesh_by_predicate(lambda b: b == target) == (1, 0)
 
 
@@ -124,11 +127,11 @@ class TestIncrementalParity:
         periodic = tuple(bool(rng.integers(2)) for _ in range(2))
         mesh = warmed_mesh((2, 2), periodic)
         target = mesh.blocks[int(rng.integers(len(mesh.blocks)))]
-        mesh.remesh(RefinementTags(refine={target}))
+        mesh.remesh(block_tags(refine=[target]))
         assert_mesh_consistent(mesh)
-        mesh.remesh(RefinementTags(coarsen=set(target.children())))
+        mesh.remesh(block_tags(coarsen=target.children()))
         assert_mesh_consistent(mesh)
-        mesh.remesh(RefinementTags(refine={target}))
+        mesh.remesh(block_tags(refine=[target]))
         assert_mesh_consistent(mesh)
         assert target not in mesh.forest
         assert all(c in mesh.forest for c in target.children())
@@ -145,16 +148,16 @@ class TestFallback:
         # Mutate the forest behind the cache's back: the next changing
         # remesh must still leave every cache equal to a rebuild.
         mesh.forest.refine(mesh.forest.leaves_dfs()[-1])
-        mesh.remesh(RefinementTags(refine={mesh.forest.leaves_dfs()[0]}))
+        mesh.remesh(block_tags(refine=[mesh.forest.leaves_dfs()[0]]))
         assert_mesh_consistent(mesh)
 
     def test_generation_bumps_on_both_paths(self):
         mesh = warmed_mesh((2, 2), (False, False))
         g0 = mesh.generation
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+        mesh.remesh(block_tags(refine=[mesh.blocks[0]]))
         assert mesh.generation == g0 + 1
         _ = mesh.neighbor_graph  # a cached graph does not change the rule
-        mesh.remesh(RefinementTags(refine={mesh.blocks[-1]}))
+        mesh.remesh(block_tags(refine=[mesh.blocks[-1]]))
         assert mesh.generation == g0 + 2
 
     def test_noop_remesh_preserves_graph_object(self):
@@ -172,14 +175,14 @@ class TestFallback:
 class TestBlockId:
     def test_block_id_matches_list_index(self):
         mesh = warmed_mesh((2, 2), (False, False))
-        mesh.remesh(RefinementTags(refine={mesh.blocks[1]}))
+        mesh.remesh(block_tags(refine=[mesh.blocks[1]]))
         for i, b in enumerate(mesh.blocks):
             assert mesh.block_id(b) == i
 
     def test_block_id_rejects_non_leaf(self):
         mesh = warmed_mesh((2, 2), (False, False))
         target = mesh.blocks[0]
-        mesh.remesh(RefinementTags(refine={target}))
+        mesh.remesh(block_tags(refine=[target]))
         with pytest.raises(ValueError):
             mesh.block_id(target)  # refined away — no longer a leaf
 
@@ -196,7 +199,7 @@ class TestBalanceCascade:
         corner = BlockIndex(0, (0, 0))
         # stop one level short so the deepest corner leaf is refinable
         for _ in range(max_level - 1):
-            apply_tags(mesh.forest, RefinementTags(refine={corner}))
+            mesh.remesh(block_tags(refine=[corner]))
             corner = corner.children()[0]
         assert is_two_one_balanced(mesh.forest)
         # The domain-corner leaf only has same-level siblings; its
@@ -208,7 +211,10 @@ class TestBalanceCascade:
 
     def test_deep_cascade_closure_correct(self):
         forest, corner = self.deep_gradient_forest()
-        closed = enforce_two_one_balance(forest, {corner})
+        closed = blocks_of_keys(
+            enforce_two_one_balance(forest, leaf_table(forest), block_keys([corner])),
+            forest.dim,
+        )
         assert corner in closed
         assert len(closed) > 1  # the refinement ripples down the gradient
         for b in closed:
@@ -220,14 +226,14 @@ class TestBalanceCascade:
 
         forest, corner = self.deep_gradient_forest()
         calls = {"n": 0}
-        real = refinement_mod.find_neighbors
+        real = refinement_mod._coarser_neighbors
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(forest, table, keys):
+            calls["n"] += len(keys)
+            return real(forest, table, keys)
 
-        monkeypatch.setattr(refinement_mod, "find_neighbors", counting)
-        closed = enforce_two_one_balance(forest, {corner})
+        monkeypatch.setattr(refinement_mod, "_coarser_neighbors", counting)
+        closed = enforce_two_one_balance(forest, leaf_table(forest), block_keys([corner]))
         # Linear closure: exactly one probe per block that enters the
         # result — rediscovered or max-level blocks are never re-probed.
         assert calls["n"] == len(closed)

@@ -64,7 +64,7 @@ class TestRoundTrip:
     def test_keys_invalidate_on_remesh(self):
         mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
         before = mesh.keys()
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+        mesh.remesh(RefinementTags(refine=mesh.keys()[:1]))
         assert mesh.keys().shape[0] == mesh.n_blocks == 7
         assert np.array_equal(mesh.keys(), block_keys(mesh.blocks))
         assert not np.array_equal(before, mesh.keys()[:4])
@@ -104,3 +104,12 @@ class TestBitBudget:
         assert block_keys([]).shape == (0,)
         coords, levels = unpack_keys(np.empty(0, dtype=np.int64), 3)
         assert coords.shape == (0, 3) and levels.shape == (0,)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_round_trip(self, dim):
+        coords, levels = unpack_keys(np.empty(0, dtype=np.int64), dim)
+        assert coords.shape == (0, dim)
+        keys = pack_keys(coords, levels)
+        assert keys.shape == (0,) and keys.dtype == np.int64
+        empty = pack_keys(np.empty((0, dim), dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert empty.shape == (0,)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mesh.geometry import BlockIndex, RootGrid
+from repro.mesh.keys import block_keys, blocks_of_keys
 from repro.mesh.octree import OctreeForest
 from repro.mesh.refinement import (
     RefinementTags,
@@ -15,14 +16,25 @@ from repro.mesh.refinement import (
     tag_by_predicate,
 )
 
-from tests.helpers import random_forest
+from tests.helpers import block_tags, leaf_table, random_forest
+
+
+def closure_blocks(forest, to_refine):
+    """The balance closure of a set of blocks, as blocks."""
+    keys = enforce_two_one_balance(forest, leaf_table(forest), block_keys(to_refine))
+    return set(blocks_of_keys(keys, forest.dim))
+
+
+def apply_block_tags(forest, refine=(), coarsen=()):
+    """``apply_tags`` on tags given as blocks."""
+    return apply_tags(forest, leaf_table(forest), block_tags(refine, coarsen))
 
 
 class TestTags:
     def test_conflicting_tags_rejected(self):
         b = BlockIndex(0, (0, 0))
         with pytest.raises(ValueError):
-            RefinementTags(refine={b}, coarsen={b})
+            RefinementTags(refine=block_keys([b]), coarsen=block_keys([b]))
 
 
 class TestBalanceClosure:
@@ -34,7 +46,7 @@ class TestBalanceClosure:
         k2 = f.refine(k1[0])
         assert is_two_one_balanced(f)
         target = k2[0]  # level 2, adjacent to level-1 siblings only
-        closure = enforce_two_one_balance(f, {target})
+        closure = closure_blocks(f, {target})
         assert target in closure
         # Refining level-2 forces no cascade here (neighbors are level 1).
         f2 = f.copy()
@@ -49,7 +61,7 @@ class TestBalanceClosure:
         f.refine(BlockIndex(0, (0, 0)))
         f.refine(BlockIndex(1, (0, 0)))
         assert is_two_one_balanced(f)
-        closure = enforce_two_one_balance(f, {BlockIndex(2, (1, 1))})
+        closure = closure_blocks(f, {BlockIndex(2, (1, 1))})
         f2 = f.copy()
         for b in sorted(closure, key=lambda x: (x.level, x.coords)):
             f2.refine(b)
@@ -67,7 +79,7 @@ class TestBalanceClosure:
         if not refinable:
             return
         tags = {refinable[int(rng.integers(len(refinable)))] for _ in range(n_tags)}
-        closure = enforce_two_one_balance(f, tags)
+        closure = closure_blocks(f, tags)
         assert tags & set(f.leaves()) <= closure | {
             b for b in tags if b.level >= f.max_level
         }
@@ -80,8 +92,7 @@ class TestApplyTags:
     def test_refine_wins_over_coarsen(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         kids = f.refine(BlockIndex(0, (0, 0)))
-        tags = RefinementTags(refine={kids[0]}, coarsen=set(kids[1:]))
-        n_ref, n_coarse = apply_tags(f, tags)
+        n_ref, n_coarse = apply_block_tags(f, refine={kids[0]}, coarsen=set(kids[1:]))
         assert n_ref == 1
         assert n_coarse == 0  # sibling set incomplete once kids[0] refined
         f.validate()
@@ -89,7 +100,7 @@ class TestApplyTags:
     def test_full_sibling_coarsen(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         kids = f.refine(BlockIndex(0, (0, 0)))
-        n_ref, n_coarse = apply_tags(f, RefinementTags(coarsen=set(kids)))
+        n_ref, n_coarse = apply_block_tags(f, coarsen=set(kids))
         assert (n_ref, n_coarse) == (0, 1)
         assert BlockIndex(0, (0, 0)) in f
 
@@ -101,11 +112,11 @@ class TestApplyTags:
         # Refine the left block's right children to level 2, then ask to
         # merge the right block back while tagging its left-adjacent fine
         # neighbors for refinement.
-        tags = RefinementTags(
+        n_ref, n_coarse = apply_block_tags(
+            f,
             refine={left[1], left[3]},  # children on the x+ side -> level 2
             coarsen=set(right),
         )
-        n_ref, n_coarse = apply_tags(f, tags)
         # The two tagged refinements cascade into the two level-0 blocks
         # diagonally/face-adjacent to left[3] (2:1 closure).
         assert n_ref == 4
@@ -126,7 +137,7 @@ class TestApplyTags:
                 b for b in leaves
                 if b.level > 0 and b not in refine and rng.random() < 0.4
             }
-            apply_tags(f, RefinementTags(refine=refine, coarsen=coarsen))
+            apply_block_tags(f, refine=refine, coarsen=coarsen)
             f.validate()
             assert is_two_one_balanced(f)
 
@@ -140,10 +151,10 @@ class TestTagByPredicate:
             should_refine=lambda b: b.coords == (0, 0),
             should_coarsen=lambda b: b.level > 0,
         )
-        assert tags.refine == {BlockIndex(0, (0, 0))}
+        assert set(blocks_of_keys(tags.refine, 2)) == {BlockIndex(0, (0, 0))}
         assert len(tags.coarsen) == 4
 
     def test_max_level_not_tagged_for_refine(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=0)
         tags = tag_by_predicate(f, should_refine=lambda b: True)
-        assert not tags.refine
+        assert tags.refine.size == 0

@@ -1,6 +1,9 @@
 """On-disk trajectory cache: roundtrip, reuse, keying, corruption."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,23 @@ class TestKeying:
         other = dataclasses.replace(config, seed=config.seed + 1)
         assert trajectory_key(other) != k
         assert trajectory_key(config, max_steps=10) != k
+
+    def test_key_hashes_every_module_generation_loads(self):
+        # A fresh interpreter generates a small trajectory; every mesh
+        # module it loads, and the workload, must key the cache.
+        script = (
+            "import sys\n"
+            "from repro.amr.sedov import SedovWorkload, scaled_config\n"
+            "SedovWorkload(scaled_config(512, scale=8, steps=50)).full_trajectory()\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('repro.mesh.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert "repro.mesh.keys" in out
+        assert set(out) | {"repro.amr.sedov"} <= set(trajcache.TRAJECTORY_MODULES)
 
     def test_dir_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV, raising=False)
